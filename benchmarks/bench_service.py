@@ -1,7 +1,7 @@
 """Service-layer benchmark: request-cache speedup + HTTP fill throughput.
 
-Measures the ``repro.service`` stack end to end over real HTTP (an
-in-process ``ThreadingHTTPServer`` on an ephemeral port):
+Measures the ``repro.service`` stack end to end over real HTTP (the
+in-process asyncio server on an ephemeral port):
 
 * ``learn_cache`` -- wall-clock of a cold ``POST /learn`` (first time a
   task is seen; measured over several distinct tasks so engine-level
@@ -11,14 +11,10 @@ in-process ``ThreadingHTTPServer`` on an ephemeral port):
 * ``fill_throughput`` -- rows/second of concurrent ``POST /fill``
   requests serving a stored program (4 client threads), reported
   informationally (requests/s is machine-bound).
-* ``learn_scaling`` -- served cold-learn throughput over the asyncio
-  front end, worker-process pool (``--workers 4``) vs in-process.  Gated
-  at an absolute >=3x/--factor floor on runners with >= 4 CPUs; reported
+* ``learn_scaling`` -- served cold-learn throughput, worker-process
+  pool (``--workers 4``) vs in-process.  Gated at an absolute
+  >=3x/--factor floor on runners with >= 4 CPUs; reported
   informationally below that (a 1-CPU runner cannot scale).
-* ``fill_latency_async_vs_threaded`` -- the cheap path must stay cheap:
-  mean ``POST /fill`` round-trip latency over the async transport vs the
-  threaded one, gated on the same-run ratio (<= 2x) so the check is
-  machine-independent.
 * ``revalidation_latency`` -- wall-clock from a grow-only row append on
   a 10k-cell catalog to the changefeed revalidator having *rebound*
   every stored program (the window in which a stale-fingerprint 409 is
@@ -63,7 +59,6 @@ from repro.service import (
     ProgramStore,
     SynthesisService,
     WorkerPool,
-    create_async_server,
     create_server,
 )
 from repro.tables.catalog import Catalog
@@ -76,10 +71,6 @@ CACHE_SPEEDUP_FLOOR = 10.0
 #: enforced only on runners with >= LEARN_SCALING_MIN_CPUS CPUs.
 LEARN_SCALING_FLOOR = 3.0
 LEARN_SCALING_MIN_CPUS = 4
-
-#: The async cheap lane must not slow fills down vs the threaded server
-#: (same run, same machine): async_latency / threaded_latency ceiling.
-FILL_LATENCY_RATIO_CEILING = 2.0
 
 #: Absolute acceptance floor: compiled-plan fill throughput vs the AST
 #: interpreter, single thread, fully distinct rows (no row-memo help).
@@ -345,7 +336,7 @@ def bench_learn_scaling(
 ) -> Dict[str, float]:
     """Served learn throughput: worker-process pool vs in-process.
 
-    Both sides run the asyncio front end with ``clients`` concurrent
+    Both sides run the HTTP server with ``clients`` concurrent
     HTTP clients posting ``num_tasks`` *distinct* cold learns (every one
     a request-cache miss).  Without a pool the learn lane is GIL-bound
     (~1 core no matter how many client threads); with ``--workers N``
@@ -360,7 +351,7 @@ def bench_learn_scaling(
                 pool_workers, catalogs=[service.engine.catalog]
             )
             service.attach_pool(pool)
-        server = create_async_server(service, host="127.0.0.1", port=0)
+        server = create_server(service, host="127.0.0.1", port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
@@ -397,54 +388,6 @@ def bench_learn_scaling(
         "learns_per_s_pooled": num_tasks / pooled_s,
         "workers": workers,
         "cpus": os.cpu_count() or 1,
-    }
-
-
-def bench_fill_latency_parity(
-    num_requests: int, rows_per_request: int
-) -> Dict[str, float]:
-    """Cheap-path fill latency, threaded vs async transport (same run).
-
-    The async front end must not tax the cheap lane: sequential fill
-    round trips over both transports, compared as a ratio so the gate is
-    machine-independent.
-    """
-
-    def mean_latency(make_server) -> float:
-        service = SynthesisService(bench_catalog())
-        server = make_server(service, host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        client = Client(f"http://{host}:{port}")
-        try:
-            task = learn_tasks(service.engine.catalog, 1)[0]
-            program = client.post("/learn", task)["programs"][0]["program"]
-            num_rows = service.engine.catalog.table("Comp").num_rows
-            rows = [
-                [" ".join(f"c{(r + o) % num_rows}" for o in range(5))]
-                for r in range(rows_per_request)
-            ]
-            body = {"program": program, "rows": rows}
-            client.post("/fill", body)  # warm
-            times = []
-            for _ in range(num_requests):
-                started = time.perf_counter()
-                client.post("/fill", body)
-                times.append(time.perf_counter() - started)
-            return sum(times) / len(times)
-        finally:
-            server.shutdown()
-            thread.join(timeout=10)
-            server.server_close()
-            service.close()
-
-    threaded_s = mean_latency(create_server)
-    async_s = mean_latency(create_async_server)
-    return {
-        "threaded_ms": threaded_s * 1e3,
-        "async_ms": async_s * 1e3,
-        "ratio": async_s / threaded_s,
     }
 
 
@@ -527,13 +470,6 @@ def run_suite(quick: bool) -> Dict[str, Dict[str, float]]:
         "tasks": num_tasks,
         **bench_learn_scaling(num_tasks, workers=4),
     }
-    latency_requests = 20 if quick else 60
-    name = "fill_latency_async_vs_threaded[rows=100]"
-    print(f"running {name}[requests={latency_requests}] ...", flush=True)
-    results[name] = {
-        "requests": latency_requests,
-        **bench_fill_latency_parity(latency_requests, rows_per_request=100),
-    }
     compiled_rows = 20_000 if quick else 100_000
     name = "fill_compiled_speedup[single-thread]"
     print(f"running {name}[rows={compiled_rows}] ...", flush=True)
@@ -581,11 +517,6 @@ def render(results: Dict[str, Dict[str, float]]) -> List[str]:
                 f"{name}: single {row['learns_per_s_single']:.1f} learns/s | "
                 f"pooled {row['learns_per_s_pooled']:.1f} learns/s | "
                 f"speedup {row['speedup']:.2f}x ({row['cpus']:.0f} CPUs)"
-            )
-        elif "ratio" in row:
-            lines.append(
-                f"{name}: threaded {row['threaded_ms']:.2f}ms | async "
-                f"{row['async_ms']:.2f}ms | ratio {row['ratio']:.2f}"
             )
         else:
             lines.append(
@@ -674,19 +605,6 @@ def check_regression(
                 f"{status:>10}  {name}: pooled learn speedup "
                 f"{row['speedup']:.2f}x on {cpus} CPUs (floor {floor:.1f}x, "
                 f"acceptance {LEARN_SCALING_FLOOR:.0f}x / --factor)"
-            )
-            if status != "ok":
-                failures.append(name)
-            continue
-        if "ratio" in row:
-            # Same-run transport comparison: machine-independent ceiling.
-            status = (
-                "ok" if row["ratio"] <= FILL_LATENCY_RATIO_CEILING
-                else "REGRESSION"
-            )
-            print(
-                f"{status:>10}  {name}: async/threaded fill latency ratio "
-                f"{row['ratio']:.2f} (ceiling {FILL_LATENCY_RATIO_CEILING:.1f})"
             )
             if status != "ok":
                 failures.append(name)
@@ -1013,6 +931,8 @@ def run_smoke() -> int:
             _stop_serve(process)
 
             # -- act three: the worker-process pool behind --workers ------
+            # --async is a no-op kept for old command lines; passing it
+            # pins that it is still accepted.
             process, client = _start_serve(
                 src,
                 [
@@ -1055,7 +975,7 @@ def run_smoke() -> int:
 
             # -- act four: 100k-row NDJSON streaming fill, constant RSS --
             process, client = _start_serve(
-                src, ["--table", str(table_csv), "--port", "0", "--async"]
+                src, ["--table", str(table_csv), "--port", "0"]
             )
             learned = client.post(
                 "/learn",
@@ -1086,8 +1006,8 @@ def run_smoke() -> int:
                 "streamed outputs diverged from POST /fill"
             )
             print(
-                f"smoke: /fill/stream served {total} rows over the async "
-                "transport, byte-identical with POST /fill"
+                f"smoke: /fill/stream served {total} rows, "
+                "byte-identical with POST /fill"
             )
             if before_kb is not None and after_kb is not None:
                 growth_mb = max(0, after_kb - before_kb) / 1024.0

@@ -23,7 +23,8 @@ Public API quick reference::
     session.add_example(("c4",), "Facebook"); session.learn()
 
 Long-running serving (request-cached learn, named program persistence,
-JSON HTTP API -- also ``repro serve`` from the shell)::
+a JSON HTTP API on an asyncio server -- also ``repro serve`` from the
+shell)::
 
     from repro.service import ProgramStore, SynthesisService, create_server
 
@@ -108,7 +109,7 @@ from repro.matching import available_matchers, build_pipeline
 from repro.tables import Catalog, Table
 from repro.tables.background import background_catalog, background_table
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "Catalog",

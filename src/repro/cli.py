@@ -27,8 +27,8 @@ applies a previously saved program with zero synthesis cost -- the
 cache-then-serve workflow; ``--rows -`` reads the CSV rows from stdin
 and ``--stream`` writes NDJSON outputs incrementally (one JSON string
 per row, ``null`` for undefined, flushed every ``--chunk`` rows), so
-fills compose with Unix pipes at constant memory.  ``serve`` keeps the whole loop resident: a
-threaded JSON HTTP API (``POST /learn``, ``POST /fill``,
+fills compose with Unix pipes at constant memory.  ``serve`` keeps the whole loop resident: an
+asyncio JSON HTTP API (``POST /learn``, ``POST /fill``,
 ``GET /programs``, ``GET /healthz``, ``GET /stats``, plus the
 ``/catalogs`` registry endpoints) with an LRU request cache and an
 optional on-disk program store; ``--catalog-root DIR`` serves many
@@ -267,14 +267,9 @@ def build_serve_parser(prog: str = "repro serve") -> argparse.ArgumentParser:
         "snapshot spool) while fills stay in-process (default: 0, "
         "in-process synthesis)",
     )
-    parser.add_argument(
-        "--async",
-        dest="async_server",
-        action="store_true",
-        help="serve over the asyncio front end (cost-routed lanes: fills "
-        "in-process, learns toward the worker pool) instead of the "
-        "thread-per-connection server",
-    )
+    # A no-op that old command lines may still pass: the asyncio server
+    # is the only one.
+    parser.add_argument("--async", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument(
         "--notify",
         action="append",
@@ -569,7 +564,6 @@ def _cmd_serve(argv: Sequence[str]) -> int:
             CatalogRegistry,
             ProgramStore,
             SynthesisService,
-            create_async_server,
             create_server,
         )
 
@@ -610,8 +604,7 @@ def _cmd_serve(argv: Sequence[str]) -> int:
         )
         for url in args.notify:
             service.add_change_webhook(url)
-        make_server = create_async_server if args.async_server else create_server
-        server = make_server(
+        server = create_server(
             service, host=args.host, port=args.port, quiet=not args.verbose
         )
     except (ReproError, OSError) as error:
@@ -660,11 +653,11 @@ def _cmd_serve(argv: Sequence[str]) -> int:
         )
 
     # Graceful shutdown: SIGTERM/SIGINT stop accepting connections, let
-    # in-flight requests finish (server_close joins the daemon threads),
-    # flush pending snapshot writes, close database connections, exit 0.
-    # The handler must not call server.shutdown() directly -- it would
-    # deadlock the very serve_forever loop it interrupted -- so a helper
-    # thread delivers it.
+    # in-flight requests finish (shutdown drains them and joins the lane
+    # threads), flush pending snapshot writes, close database
+    # connections, exit 0.  The handler must not call server.shutdown()
+    # directly -- it blocks until the very serve_forever loop it
+    # interrupted returns -- so a helper thread delivers it.
     import signal
     import threading
 

@@ -158,7 +158,7 @@ class UnknownMatcherError(ReproError, ValueError):
     Raised by ``repro.matching.build_pipeline`` (and therefore by every
     surface that accepts matcher names: ``SynthesisConfig.matchers``,
     ``repro learn --matchers``, the ``matchers`` field of ``/learn`` and
-    ``/fill``).  The HTTP front ends map it to 400; the CLI exits 1.
+    ``/fill``).  The HTTP server maps it to 400; the CLI exits 1.
     Also a ``ValueError`` so callers validating knobs with
     ``except ValueError`` keep working.
     """
@@ -237,7 +237,7 @@ class ChangefeedRangeError(CatalogRegistryError):
     ``since`` must never exceed the feed's current head: a client that
     is "ahead" of the server is either talking to a restarted feed or
     confused about which catalog it watches, and silently serving an
-    empty event list would hide that.  The HTTP front ends map this to
+    empty event list would hide that.  The HTTP server maps this to
     416 with the current ``head`` in the body so the client can
     resubscribe from a real position.
     """
@@ -299,7 +299,7 @@ class WorkerPoolError(ServiceError):
 class PoolBusyError(WorkerPoolError):
     """The pool's pending queue is full; the caller should back off.
 
-    The HTTP front ends map this to 503 so load-shedding is visible to
+    The HTTP server maps this to 503 so load-shedding is visible to
     clients instead of turning into unbounded queueing in the parent.
     """
 

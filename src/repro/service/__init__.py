@@ -28,21 +28,16 @@ fingerprint)::
 :mod:`repro.service.registry` (named frozen catalog snapshots),
 :mod:`repro.service.store` (named, versioned ``Program.to_dict``
 artifacts), :mod:`repro.service.service` (the thread-safe facade and its
-LRU request cache), :mod:`repro.service.http` (the shared
-:class:`ServiceApi` routing core + the stdlib ``ThreadingHTTPServer``
-JSON API), :mod:`repro.service.async_http` (the asyncio front end that
-routes fills on the cheap in-process lane and learns toward the worker
-pool), :mod:`repro.service.pool` (the shared-snapshot worker-process
-pool behind ``repro serve --workers N``).
+LRU request cache), :mod:`repro.service.http` (the JSON API's
+:class:`ServiceApi` routing core), :mod:`repro.service.async_http` (the
+asyncio HTTP server built by :func:`create_server`: fills on the cheap
+in-process lane, learns toward the worker pool),
+:mod:`repro.service.pool` (the shared-snapshot worker-process pool
+behind ``repro serve --workers N``).
 """
 
-from repro.service.async_http import AsyncSynthesisServer, create_async_server
-from repro.service.http import (
-    ServiceApi,
-    ServiceRequestHandler,
-    SynthesisHTTPServer,
-    create_server,
-)
+from repro.service.async_http import AsyncSynthesisServer, create_server
+from repro.service.http import ServiceApi
 from repro.service.pool import WorkerPool
 from repro.service.registry import DEFAULT_CATALOG, CatalogRegistry
 from repro.service.service import (
@@ -64,12 +59,9 @@ __all__ = [
     "ProgramStore",
     "RequestCache",
     "ServiceApi",
-    "ServiceRequestHandler",
     "StoredProgram",
-    "SynthesisHTTPServer",
     "SynthesisService",
     "WorkerPool",
-    "create_async_server",
     "create_server",
     "parse_program_ref",
 ]

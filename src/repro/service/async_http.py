@@ -1,12 +1,12 @@
-"""Asyncio HTTP front end that routes requests by cost.
+"""The HTTP server: an asyncio front end that routes requests by cost.
 
-:class:`AsyncSynthesisServer` serves the same endpoints as the threaded
-server (one shared :class:`~repro.service.http.ServiceApi`) over an
-``asyncio.start_server`` event loop, with a minimal HTTP/1.1
-implementation (request line + headers + Content-Length body,
-keep-alive).  The asyncio loop itself never runs service code: each
-request is classified into a *lane* and handed to that lane's thread
-pool via ``run_in_executor``:
+:class:`AsyncSynthesisServer` serves the endpoints of
+:class:`~repro.service.http.ServiceApi` over an ``asyncio.start_server``
+event loop, with a minimal HTTP/1.1 implementation: request line +
+headers, Content-Length bodies (chunked ones on ``POST /fill/stream``),
+``Expect: 100-continue``, keep-alive.  The asyncio loop itself never
+runs service code: each request is classified into a *lane* and handed
+to that lane's thread pool via ``run_in_executor``:
 
 * **cheap lane** -- fills, cache hits, catalog CRUD, stats: pure dict
   and index lookups answered in-process with no worker hop, on a small
@@ -16,8 +16,7 @@ pool via ``run_in_executor``:
   gets its own pool sized to the worker-process pool.  With a pool
   attached (``repro serve --workers N``), learn-lane threads spend
   their time blocked on a worker pipe with the GIL released -- true
-  multi-core synthesis; without one they degrade to in-process
-  synthesis, exactly like the threaded server.
+  multi-core synthesis; without one they run synthesis in-process.
 
 The two lanes mirror the Polynesia-style split (cheap read path vs.
 heavy analytical path, each with its own execution resources) at the
@@ -25,9 +24,10 @@ process level.
 
 The listening socket is bound in ``__init__`` (so ``port=0`` callers
 can read and print the real port *before* the event loop -- or any
-worker fork -- starts); ``serve_forever()`` blocks running the loop and
-``shutdown()`` is thread-safe, mirroring the stdlib server's interface
-so ``repro serve`` drives both transports identically.
+worker fork -- starts).  The lifecycle follows the stdlib
+``socketserver`` contract: ``serve_forever()`` blocks running the loop,
+``shutdown()`` from another thread returns once it has stopped, and
+``server_close()`` releases the socket.
 """
 
 from __future__ import annotations
@@ -35,13 +35,17 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional, Set, Tuple
+from http import HTTPStatus
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro import __version__
-from repro.exceptions import ServiceError
+from repro.exceptions import ChangefeedRangeError, ServiceError
 from repro.service.http import (
+    LANE_CHEAP,
     LANE_LEARN,
     MAX_BODY_BYTES,
     SSE_KEEPALIVE_SECONDS,
@@ -49,7 +53,6 @@ from repro.service.http import (
     BadRequest,
     ServiceApi,
     changes_catalog,
-    error_payload,
     map_exception,
     parse_changes_query,
     parse_stream_header,
@@ -58,26 +61,40 @@ from repro.service.http import (
 from repro.service.service import SynthesisService
 
 #: Per-read timeout: a client stalling mid-request must not park a
-#: connection handler forever (matches the threaded server's 60s).
+#: connection handler forever.
 READ_TIMEOUT = 60.0
 
 #: Upper bound on the request line + headers block.
 MAX_HEADER_BYTES = 64 * 1024
 
+#: Thread-pool size of the cheap lane.
+CHEAP_LANE_THREADS = 8
+
+#: Thread-pool size of the learn lane without a worker pool; with one
+#: attached, the lane gets the pool's worker count plus a queue's worth.
+LEARN_LANE_THREADS = 4
+
+#: How often long-polls and SSE streams look at the in-memory changefeed.
+FEED_POLL_SECONDS = 0.05
+
+#: The interim reply to ``Expect: 100-continue``, sent right before an
+#: accepted body is read.
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+
+#: Control characters are escaped in access-log lines.
+_LOG_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
+
 
 class AsyncSynthesisServer:
-    """The asyncio front end over one :class:`SynthesisService`.
+    """The HTTP server over one :class:`SynthesisService`.
 
     Args:
-        service: the service to serve (attach its worker pool before or
-            after construction; the learn lane picks it up per request).
+        service: the service to serve (attach its worker pool before
+            :meth:`serve_forever`; the learn lane is sized from it).
         host/port: bind address; ``port=0`` binds an ephemeral port,
             readable from :attr:`server_address` immediately.
-        quiet: reserved for parity with the threaded server.
-        cheap_workers: thread-pool size of the cheap lane.
-        learn_workers: thread-pool size of the learn lane; ``None``
-            sizes it to the attached pool (its worker count plus a
-            queue's worth) or 4 without one.
+        quiet: ``False`` writes one access line per request to stderr,
+            in the common-log shape of the stdlib request handler.
     """
 
     def __init__(
@@ -86,8 +103,6 @@ class AsyncSynthesisServer:
         host: str = "127.0.0.1",
         port: int = 8765,
         quiet: bool = True,
-        cheap_workers: int = 8,
-        learn_workers: Optional[int] = None,
     ) -> None:
         self.service = service
         self.api = ServiceApi(service)
@@ -95,35 +110,47 @@ class AsyncSynthesisServer:
         self._sock = socket.create_server(
             (host, port), family=socket.AF_INET, backlog=128
         )
-        self._cheap_workers = max(1, cheap_workers)
-        self._learn_workers = learn_workers
+        self._executors: Dict[str, ThreadPoolExecutor] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._stop_requested = False
         self._lock = threading.Lock()
+        # Set whenever serve_forever is not running: shutdown() waits on it.
+        self._stopped = threading.Event()
+        self._stopped.set()
         self._conn_tasks: Set[asyncio.Task] = set()
         self._busy_requests = 0
 
-    # -- stdlib-server interface parity -------------------------------
+    # -- lifecycle -----------------------------------------------------
     @property
     def server_address(self) -> Tuple[str, int]:
         return self._sock.getsockname()[:2]
 
     def serve_forever(self) -> None:
         """Run the event loop until :meth:`shutdown` (blocking)."""
-        asyncio.run(self._serve())
+        with self._lock:
+            if self._stop_requested:
+                return
+            self._stopped.clear()
+        try:
+            asyncio.run(self._serve())
+        finally:
+            self._stopped.set()
 
     def shutdown(self) -> None:
-        """Stop accepting and drain in-flight requests (thread-safe)."""
+        """Stop serving; block until :meth:`serve_forever` has returned.
+
+        By then the listener is closed, in-flight requests have drained
+        and both lane pools are shut down, so ``server_close()`` may
+        follow at once.  Returns at once when the server never started.
+        Call it from a thread other than the serving one.
+        """
         with self._lock:
             self._stop_requested = True
-            loop = self._loop
-        if loop is not None and loop.is_running():
-            def _set() -> None:
-                if self._stop_event is not None:
-                    self._stop_event.set()
-
-            loop.call_soon_threadsafe(_set)
+            if self._loop is not None:
+                # Still running: _serve clears _loop under this lock.
+                self._loop.call_soon_threadsafe(self._stop_event.set)
+        self._stopped.wait()
 
     def server_close(self) -> None:
         try:
@@ -131,50 +158,48 @@ class AsyncSynthesisServer:
         except OSError:
             pass
 
-    # -- the loop ------------------------------------------------------
     async def _serve(self) -> None:
-        learn_workers = self._learn_workers
-        if learn_workers is None:
-            pool = self.service.pool
-            learn_workers = (pool.size + 2) if pool is not None else 4
-        cheap_pool = ThreadPoolExecutor(
-            max_workers=self._cheap_workers,
-            thread_name_prefix="repro-async-cheap",
-        )
-        learn_pool = ThreadPoolExecutor(
-            max_workers=max(1, learn_workers),
-            thread_name_prefix="repro-async-learn",
-        )
-        self._executors = {LANE_LEARN: learn_pool, "cheap": cheap_pool}
-        self._stop_event = asyncio.Event()
-        with self._lock:
-            self._loop = asyncio.get_running_loop()
-            if self._stop_requested:
-                self._stop_event.set()
-        server = await asyncio.start_server(
-            self._handle_client, sock=self._sock
-        )
+        pool = self.service.pool
+        learn_threads = pool.size + 2 if pool is not None else LEARN_LANE_THREADS
+        self._executors = {
+            LANE_CHEAP: ThreadPoolExecutor(
+                CHEAP_LANE_THREADS, thread_name_prefix="repro-cheap-lane"
+            ),
+            LANE_LEARN: ThreadPoolExecutor(
+                learn_threads, thread_name_prefix="repro-learn-lane"
+            ),
+        }
+        loop = asyncio.get_running_loop()
+        stop = asyncio.Event()
+        server = None
         try:
-            await self._stop_event.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-            # Drain: let requests already executing finish (bounded),
-            # then drop lingering keep-alive connections.
-            deadline = self._loop.time() + 10.0
-            while self._busy_requests and self._loop.time() < deadline:
-                await asyncio.sleep(0.05)
-            for task in list(self._conn_tasks):
-                task.cancel()
-            if self._conn_tasks:
-                await asyncio.gather(
-                    *self._conn_tasks, return_exceptions=True
-                )
-            learn_pool.shutdown(wait=True)
-            cheap_pool.shutdown(wait=True)
+            server = await asyncio.start_server(
+                self._handle_client, sock=self._sock
+            )
             with self._lock:
-                self._loop = None
+                self._loop, self._stop_event = loop, stop
+                if self._stop_requested:
+                    stop.set()
+            await stop.wait()
+        finally:
+            with self._lock:
+                self._loop = self._stop_event = None
+            if server is not None:
+                server.close()
+                # Drain: let requests already executing finish (bounded),
+                # then drop lingering keep-alive connections.  (Not
+                # server.wait_closed(): since 3.12 it also waits for
+                # idle keep-alive clients to hang up.)
+                deadline = loop.time() + 10.0
+                while self._busy_requests and loop.time() < deadline:
+                    await asyncio.sleep(0.05)
+                for task in list(self._conn_tasks):
+                    task.cancel()
+                await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+            for executor in self._executors.values():
+                executor.shutdown(wait=True)
 
+    # -- connections ---------------------------------------------------
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -182,10 +207,8 @@ class AsyncSynthesisServer:
         if task is not None:
             self._conn_tasks.add(task)
         try:
-            while True:
-                keep_alive = await self._handle_one(reader, writer)
-                if not keep_alive:
-                    return
+            while await self._handle_one(reader, writer):
+                pass
         except (
             asyncio.CancelledError,
             asyncio.IncompleteReadError,
@@ -208,148 +231,106 @@ class AsyncSynthesisServer:
     ) -> bool:
         """Serve one request; returns whether to keep the connection."""
         try:
-            blob = await asyncio.wait_for(
+            blob: Optional[bytes] = await asyncio.wait_for(
                 reader.readuntil(b"\r\n\r\n"), timeout=READ_TIMEOUT
             )
         except asyncio.LimitOverrunError:
+            blob = None
+        if blob is None or len(blob) > MAX_HEADER_BYTES:
             await self._respond(
-                writer, 431, {"error": "request headers too large"}, False
+                writer, "", 431, {"error": "request headers too large"}, False
             )
             return False
-        if len(blob) > MAX_HEADER_BYTES:
-            await self._respond(
-                writer, 431, {"error": "request headers too large"}, False
-            )
-            return False
+        line = blob.split(b"\r\n", 1)[0].decode("latin-1")
         try:
             method, target, version, headers = _parse_head(blob)
         except ValueError as error:
-            await self._respond(writer, 400, {"error": str(error)}, False)
+            await self._respond(writer, line, 400, {"error": str(error)}, False)
             return False
         path, query = ServiceApi.split_target(target)
+        expects_continue = (
+            version == "HTTP/1.1"
+            and headers.get("expect", "").lower() == "100-continue"
+        )
         if method == "POST" and path == STREAM_PATH:
-            await self._handle_fill_stream(reader, writer, headers)
+            await self._handle_fill_stream(
+                reader, writer, line, headers, expects_continue
+            )
             return False  # one stream per connection (chunked both ways)
         keep_alive = _wants_keep_alive(version, headers)
-        if method == "GET":
-            changes_name = changes_catalog(path)
-            if changes_name is not None:
-                sse = wants_sse(query, headers.get("accept"))
-                wait = 0.0
-                try:
-                    wait = parse_changes_query(query).wait
-                except BadRequest:
-                    pass  # the normal dispatch path reports the 400
-                if sse or wait > 0:
-                    return await self._handle_changes(
-                        writer, changes_name, query, sse, keep_alive
-                    )
+        changes_name = changes_catalog(path) if method == "GET" else None
+        if changes_name is not None:
+            if wants_sse(query, headers.get("accept")):
+                await self._stream_changes(writer, line, changes_name, query)
+                return False
+            await self._await_changes(changes_name, query)
 
-        # Read (or refuse) the body on the event loop -- the framing
-        # must be settled before the next pipelined request either way.
-        body: bytes = b""
-        read_error: Optional[Exception] = None
-        length_header = headers.get("content-length", "")
+        # Settle the body's framing before answering: read it, or refuse
+        # it and close -- unread bytes would be parsed as the next request.
+        body = b""
+        read_error: Optional[BadRequest] = None
         try:
-            content_length = int(length_header or 0)
-        except ValueError:
-            content_length = -1
-            read_error = BadRequest("Content-Length header must be an integer")
-            keep_alive = False  # body length unknown: cannot drain
-        wants_body = method in ("POST", "PUT")
-        if read_error is None and content_length > MAX_BODY_BYTES:
-            read_error = BadRequest(
-                f"request body exceeds {MAX_BODY_BYTES} bytes"
-            )
-            keep_alive = False  # refused without reading: cannot drain
-        elif read_error is None and content_length > 0:
-            body = await asyncio.wait_for(
-                reader.readexactly(content_length), timeout=READ_TIMEOUT
-            )
-        elif read_error is None and wants_body:
-            read_error = BadRequest(
-                "request needs a body (Content-Length missing)"
-            )
+            length = _body_length(headers, required=method in ("POST", "PUT"))
+        except BadRequest as error:
+            read_error, keep_alive = error, False
+        else:
+            if length:
+                if expects_continue:
+                    writer.write(_CONTINUE)
+                body = await asyncio.wait_for(
+                    reader.readexactly(length), timeout=READ_TIMEOUT
+                )
 
-        if wants_body and self.api.resolve(method, path) is None:
-            await self._respond(
-                writer,
-                404,
-                {"error": f"no such endpoint: {method} {path}"},
-                keep_alive,
-            )
-            return keep_alive
+        def read_body() -> bytes:
+            if read_error is not None:
+                raise read_error
+            return body
 
-        status, payload = await self._dispatch(
-            method, path, query, headers.get("content-type"), body, read_error
+        status, payload = await self._run(
+            self.api.classify(method, path),
+            self.api.route,
+            method,
+            path,
+            query,
+            headers.get("content-type"),
+            read_body,
         )
-        await self._respond(writer, status, payload, keep_alive)
+        await self._respond(writer, line, status, payload, keep_alive)
         return keep_alive
 
-    async def _body_chunks(self, reader: asyncio.StreamReader, headers):
-        """Async generator of raw body chunks (Content-Length or chunked)."""
-        transfer = headers.get("transfer-encoding", "").lower()
-        if "chunked" in transfer:
-            while True:
-                size_line = await asyncio.wait_for(
-                    reader.readline(), timeout=READ_TIMEOUT
-                )
-                try:
-                    size = int(size_line.split(b";")[0].strip() or b"", 16)
-                except ValueError:
-                    raise BadRequest(
-                        f"malformed chunk-size line {size_line!r}"
-                    ) from None
-                if size == 0:
-                    # Consume optional trailers up to the blank line.
-                    while True:
-                        line = await reader.readline()
-                        if line in (b"\r\n", b"\n", b""):
-                            break
-                    return
-                remaining = size
-                while remaining:
-                    data = await asyncio.wait_for(
-                        reader.read(min(remaining, 65536)), timeout=READ_TIMEOUT
-                    )
-                    if not data:
-                        raise BadRequest("request body ended mid-chunk")
-                    remaining -= len(data)
-                    yield data
-                await reader.readexactly(2)  # the CRLF closing this chunk
-            return
+    async def _run(self, lane: str, fn: Callable[..., Any], *args: Any) -> Any:
+        """``fn(*args)`` on ``lane``'s thread pool, counted as in flight."""
+        self._busy_requests += 1
         try:
-            length = int(headers.get("content-length") or 0)
-        except ValueError:
-            raise BadRequest("Content-Length header must be an integer") from None
-        if length <= 0:
-            raise BadRequest(
-                "request needs a body (Content-Length or chunked "
-                "Transfer-Encoding)"
+            return await asyncio.get_running_loop().run_in_executor(
+                self._executors[lane], fn, *args
             )
-        remaining = length
-        while remaining:
-            data = await asyncio.wait_for(
-                reader.read(min(remaining, 65536)), timeout=READ_TIMEOUT
-            )
-            if not data:
-                raise BadRequest("request body ended early")
-            remaining -= len(data)
-            yield data
+        finally:
+            self._busy_requests -= 1
 
+    # -- streaming fill ------------------------------------------------
     async def _handle_fill_stream(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
+        line: str,
         headers: Dict[str, str],
+        expects_continue: bool,
     ) -> None:
-        """``POST /fill/stream`` on the event loop, fills on the cheap lane.
+        """``POST /fill/stream``: rows in, NDJSON out, bounded memory.
+
+        The program is resolved (and its plan compiled) *before* the
+        status line commits, so bad references / stale programs /
+        missing tables still get their proper HTTP status.  After the
+        200 commits, a failure (ragged row, undecodable line) ends the
+        stream with one JSON-object error line; an early client
+        disconnect just abandons the fill.
 
         Row *decoding* happens on the loop (cheap, incremental); each
-        decoded chunk's *fill* runs on the cheap-lane executor so row
-        execution never blocks other connections; each response chunk
-        is written and drained before the next fill, so peak memory is
-        one chunk regardless of row count.
+        decoded chunk's *fill* runs on the cheap lane so row execution
+        never blocks other connections; each response chunk is written
+        and drained before the next fill, so peak memory is one chunk
+        regardless of row count.
         """
         from repro.service.streamfill import (
             encode_outputs,
@@ -357,10 +338,11 @@ class AsyncSynthesisServer:
             make_reader,
         )
 
-        loop = asyncio.get_running_loop()
-        executor = self._executors["cheap"]
-        chunks = self._body_chunks(reader, headers)
         try:
+            length = _body_length(headers, required=True, stream=True)
+            if expects_continue:
+                writer.write(_CONTINUE)
+            chunks = _body_chunks(reader, length)
             buffered = b""
             async for data in chunks:
                 buffered += data
@@ -369,26 +351,16 @@ class AsyncSynthesisServer:
             header_line, _, remainder = buffered.partition(b"\n")
             spec = parse_stream_header(header_line)
             row_reader = make_reader(spec.format)
-            service = self.service
-            session = await loop.run_in_executor(
-                executor,
-                lambda: service.fill_session(
+            session = await self._run(
+                LANE_CHEAP,
+                lambda: self.service.fill_session(
                     spec.program, catalog=spec.catalog, matchers=spec.matchers
                 ),
             )
         except Exception as error:  # noqa: BLE001 -- mapped, never fatal
             status, payload = map_exception(error)
-            await self._respond(writer, status, payload, False)
+            await self._respond(writer, line, status, payload, False)
             return
-
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            f"Server: repro-serve-async/{__version__}\r\n"
-            "Content-Type: application/x-ndjson; charset=utf-8\r\n"
-            "Transfer-Encoding: chunked\r\n"
-            "Connection: close\r\n"
-            "\r\n"
-        ).encode("latin-1")
 
         rows: list = []
         start = 1
@@ -404,17 +376,24 @@ class AsyncSynthesisServer:
             while len(rows) >= spec.chunk_rows or (final and rows):
                 batch = rows[: spec.chunk_rows]
                 rows = rows[spec.chunk_rows :]
-                outputs = await loop.run_in_executor(
-                    executor,
-                    lambda b=batch, s=start: session.fill_chunk(b, start=s),
+                outputs = await self._run(
+                    LANE_CHEAP, session.fill_chunk, batch, start
                 )
                 await write_chunk(encode_outputs(outputs))
                 start += len(batch)
 
         self._busy_requests += 1
         try:
-            writer.write(head)
-            await writer.drain()
+            await self._send_head(
+                writer,
+                line,
+                200,
+                [
+                    ("Content-Type", "application/x-ndjson; charset=utf-8"),
+                    ("Transfer-Encoding", "chunked"),
+                    ("Connection", "close"),
+                ],
+            )
             try:
                 if remainder:
                     rows.extend(row_reader.feed(remainder))
@@ -438,65 +417,82 @@ class AsyncSynthesisServer:
         finally:
             self._busy_requests -= 1
 
-    async def _handle_changes(
+    # -- changefeed ----------------------------------------------------
+    async def _await_changes(self, name: str, query: Dict[str, str]) -> None:
+        """The ``wait`` of a long-poll: park until catalog ``name`` has
+        events past ``since`` or ``wait`` seconds pass.
+
+        Waiting polls the in-memory feed on the event loop, never on a
+        lane thread, so thousands of watchers can park without starving
+        fills.  The reply is then the plain poll's
+        (:meth:`ServiceApi.catalog_changes`), which also reports any
+        error in the request; an error here just ends the wait.
+        """
+        registry = self.service.registry
+        try:
+            spec = parse_changes_query(query)
+            if spec.wait <= 0:
+                return
+            # Unknown catalog -> no wait, the 404 follows; loading a
+            # lazy catalog seeds its feed before ``since`` is judged.
+            await self._run(LANE_CHEAP, registry.get, name)
+        except Exception:  # noqa: BLE001 -- the plain poll reports it
+            return
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + spec.wait
+        while loop.time() < deadline:
+            try:
+                if registry.feed.events_since(name, spec.since)[1]:
+                    return
+            except ChangefeedRangeError:
+                return
+            await asyncio.sleep(FEED_POLL_SECONDS)
+
+    async def _stream_changes(
         self,
         writer: asyncio.StreamWriter,
+        line: str,
         name: str,
         query: Dict[str, str],
-        sse: bool,
-        keep_alive: bool,
-    ) -> bool:
-        """``GET /catalogs/<name>/changes`` with long-poll or SSE.
+    ) -> None:
+        """``GET /catalogs/<name>/changes`` as an SSE stream.
 
-        Waiting happens *on the event loop* (50ms polls of the
-        in-memory feed), never on a cheap-lane thread: thousands of
-        watchers can park here without starving fills, which is the
-        whole point of the async front end.  Wire format matches the
-        threaded transport byte-for-byte on payloads and SSE frames.
+        Validation errors (unknown catalog, bad/over-head ``since``)
+        still map to their JSON statuses -- the event stream only
+        starts once the subscription is known good.  Each event goes
+        out as ``id: <seq>`` + ``event: change`` + one ``data:`` line;
+        idle periods emit comment keepalives.  ``limit=N`` closes the
+        stream after N events (handy for scripted consumers and tests);
+        otherwise the stream runs until the client disconnects.  The
+        stream is close-delimited (no Content-Length, no chunking).
         """
         from repro.service.streamfill import sse_event
 
-        feed = self.service.registry.feed
-        loop = asyncio.get_running_loop()
-        try:
+        registry = self.service.registry
+
+        def subscribe():
+            registry.get(name)  # unknown catalog -> 404, as in the plain poll
             spec = parse_changes_query(query)
-            self.service.registry.get(name)  # 404 before any waiting
-            head, events = feed.events_since(name, spec.since)
+            return spec, registry.feed.events_since(name, spec.since)[1]
+
+        try:
+            spec, events = await self._run(LANE_CHEAP, subscribe)
         except Exception as error:  # noqa: BLE001 -- mapped, never fatal
             status, payload = map_exception(error)
-            await self._respond(writer, status, payload, False)
-            return False
-        if not sse:
-            deadline = loop.time() + spec.wait
-            while not events and loop.time() < deadline:
-                await asyncio.sleep(0.05)
-                head, events = feed.events_since(name, spec.since)
-            if spec.limit is not None:
-                events = events[: spec.limit]
-            await self._respond(
-                writer,
-                200,
-                {
-                    "catalog": name,
-                    "since": spec.since,
-                    "head": head,
-                    "events": events,
-                },
-                keep_alive,
-            )
-            return keep_alive
-        # SSE: close-delimited stream (no Content-Length, no chunking).
-        head_block = (
-            "HTTP/1.1 200 OK\r\n"
-            f"Server: repro-serve-async/{__version__}\r\n"
-            "Content-Type: text/event-stream; charset=utf-8\r\n"
-            "Cache-Control: no-cache\r\n"
-            "Connection: close\r\n"
-            "\r\n"
-        ).encode("latin-1")
+            await self._respond(writer, line, status, payload, False)
+            return
+        loop = asyncio.get_running_loop()
         try:
-            writer.write(head_block)
-            await writer.drain()
+            await self._send_head(
+                writer,
+                line,
+                200,
+                [
+                    ("Content-Type", "text/event-stream; charset=utf-8"),
+                    ("Cache-Control", "no-cache"),
+                    ("Connection", "close"),
+                ],
+            )
             last = spec.since
             sent = 0
             next_keepalive = loop.time() + SSE_KEEPALIVE_SECONDS
@@ -509,90 +505,71 @@ class AsyncSynthesisServer:
                     sent += 1
                     if spec.limit is not None and sent >= spec.limit:
                         await writer.drain()
-                        return False
+                        return
                 if events:
                     await writer.drain()
                     next_keepalive = loop.time() + SSE_KEEPALIVE_SECONDS
                 elif loop.time() >= next_keepalive:
+                    # Keepalive comment: detects dead clients and keeps
+                    # intermediaries from timing the stream out.
                     writer.write(b": keepalive\n\n")
                     await writer.drain()
                     next_keepalive = loop.time() + SSE_KEEPALIVE_SECONDS
-                await asyncio.sleep(0.05)
-                _, events = feed.events_since(name, last)
+                await asyncio.sleep(FEED_POLL_SECONDS)
+                _, events = registry.feed.events_since(name, last)
         except (ConnectionError, OSError):
-            return False  # client went away mid-stream
+            return  # client went away mid-stream
 
-    async def _dispatch(
-        self,
-        method: str,
-        path: str,
-        query: Dict[str, str],
-        content_type: Optional[str],
-        body: bytes,
-        read_error: Optional[Exception],
-    ) -> Tuple[int, Dict[str, Any]]:
-        """Run the request on its lane's thread pool, off the loop."""
-        lane = self.api.classify(method, path)
-        executor = self._executors.get(lane, self._executors["cheap"])
-
-        def read_body() -> bytes:
-            if read_error is not None:
-                raise read_error
-            return body
-
-        def run() -> Tuple[int, Dict[str, Any]]:
-            return self.api.route(method, path, query, content_type, read_body)
-
-        loop = asyncio.get_running_loop()
-        self._busy_requests += 1
-        try:
-            return await loop.run_in_executor(executor, run)
-        finally:
-            self._busy_requests -= 1
-
+    # -- responses -----------------------------------------------------
     async def _respond(
         self,
         writer: asyncio.StreamWriter,
+        line: str,
         status: int,
         payload: Dict[str, Any],
         keep_alive: bool,
     ) -> None:
         body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
-        reason = _REASONS.get(status, "OK")
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Server: repro-serve-async/{__version__}\r\n"
-            "Content-Type: application/json; charset=utf-8\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            "\r\n"
-        ).encode("latin-1")
-        writer.write(head + body)
+        await self._send_head(
+            writer,
+            line,
+            status,
+            [
+                ("Content-Type", "application/json; charset=utf-8"),
+                ("Content-Length", str(len(body))),
+                ("Connection", "keep-alive" if keep_alive else "close"),
+            ],
+            body,
+        )
+
+    async def _send_head(
+        self,
+        writer: asyncio.StreamWriter,
+        line: str,
+        status: int,
+        headers: List[Tuple[str, str]],
+        body: bytes = b"",
+    ) -> None:
+        """Write a status line + ``headers`` (+ ``body``); log the request."""
+        if not self.quiet:
+            peer = writer.get_extra_info("peername") or ("-",)
+            stamp = time.strftime("%d/%b/%Y %H:%M:%S")
+            request = line.translate(_LOG_ESCAPES)
+            sys.stderr.write(f'{peer[0]} - - [{stamp}] "{request}" {status} -\n')
+        head = [
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+            f"Server: repro-serve/{__version__}",
+        ]
+        head.extend(f"{name}: {value}" for name, value in headers)
+        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
         await writer.drain()
-
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    409: "Conflict",
-    416: "Range Not Satisfiable",
-    422: "Unprocessable Entity",
-    431: "Request Header Fields Too Large",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
 
 
 def _parse_head(
     blob: bytes,
 ) -> Tuple[str, str, str, Dict[str, str]]:
     """``b"GET /x HTTP/1.1\\r\\nH: v\\r\\n\\r\\n"`` -> parts (or ValueError)."""
-    try:
-        text = blob.decode("latin-1")
-    except UnicodeDecodeError:  # pragma: no cover -- latin-1 decodes all bytes
-        raise ValueError("malformed request head") from None
-    lines = text.split("\r\n")
+    lines = blob.decode("latin-1").split("\r\n")
     parts = lines[0].split()
     if len(parts) != 3:
         raise ValueError(f"malformed request line: {lines[0]!r}")
@@ -617,17 +594,87 @@ def _wants_keep_alive(version: str, headers: Dict[str, str]) -> bool:
     return connection != "close"
 
 
-def create_async_server(
+def _body_length(
+    headers: Dict[str, str], required: bool, stream: bool = False
+) -> Optional[int]:
+    """The request body's framing: its byte length (0 = no body), or
+    ``None`` when it arrives chunked, which only the ``stream`` route
+    reads.
+
+    Raises :class:`BadRequest` for a body the server will not read: a
+    chunked one off the stream route, a bad Content-Length, one over
+    :data:`MAX_BODY_BYTES` (stream bodies are unbounded), or none at
+    all when ``required``.
+    """
+    if "chunked" in headers.get("transfer-encoding", "").lower():
+        if stream:
+            return None
+        raise BadRequest(
+            f"chunked request bodies are only read by POST {STREAM_PATH}; "
+            "send a Content-Length"
+        )
+    try:
+        length = int(headers.get("content-length") or 0)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise BadRequest("Content-Length header must be a non-negative integer")
+    if length > MAX_BODY_BYTES and not stream:
+        raise BadRequest(f"request body exceeds {MAX_BODY_BYTES} bytes")
+    if required and length == 0:
+        raise BadRequest("request needs a body (Content-Length missing)")
+    return length
+
+
+async def _body_chunks(reader: asyncio.StreamReader, length: Optional[int]):
+    """Raw body chunks: ``length`` bytes, or chunked framing when None."""
+    if length is not None:
+        remaining = length
+        while remaining:
+            data = await asyncio.wait_for(
+                reader.read(min(remaining, 65536)), timeout=READ_TIMEOUT
+            )
+            if not data:
+                raise BadRequest("request body ended early")
+            remaining -= len(data)
+            yield data
+        return
+    while True:
+        size_line = await asyncio.wait_for(reader.readline(), timeout=READ_TIMEOUT)
+        try:
+            size = int(size_line.split(b";")[0].strip() or b"", 16)
+        except ValueError:
+            raise BadRequest(f"malformed chunk-size line {size_line!r}") from None
+        if size == 0:
+            # Consume optional trailers up to the blank line.
+            while await reader.readline() not in (b"\r\n", b"\n", b""):
+                pass
+            return
+        remaining = size
+        while remaining:
+            data = await asyncio.wait_for(
+                reader.read(min(remaining, 65536)), timeout=READ_TIMEOUT
+            )
+            if not data:
+                raise BadRequest("request body ended mid-chunk")
+            remaining -= len(data)
+            yield data
+        await reader.readexactly(2)  # the CRLF closing this chunk
+
+
+def create_server(
     service: SynthesisService,
     host: str = "127.0.0.1",
     port: int = 8765,
     quiet: bool = True,
 ) -> AsyncSynthesisServer:
-    """Bind (but do not start) the asyncio front end.
+    """Bind (but do not start) the service's HTTP server.
 
-    Interface-compatible with :func:`repro.service.http.create_server`:
-    ``server_address`` is readable immediately (``port=0`` included),
-    ``serve_forever()`` blocks, ``shutdown()`` is thread-safe and
-    ``server_close()`` releases the socket.
+    ``port=0`` binds an ephemeral port; read the actual one from
+    ``server.server_address[1]`` right away.  ``serve_forever()`` blocks
+    running the event loop (in this thread or a daemon thread);
+    ``shutdown()`` from another thread returns once it has stopped, and
+    ``server_close()`` releases the socket.  ``quiet=False`` logs one
+    access line per request to stderr.
     """
     return AsyncSynthesisServer(service, host=host, port=port, quiet=quiet)

@@ -17,8 +17,8 @@ which stored programs rebind silently.
 The feed is the *only* propagation mechanism: the registry's snapshot
 writer, legacy ``add_listener`` callbacks, worker-pool invalidation,
 the revalidation subsystem and webhook notifiers all subscribe to it,
-and the HTTP front ends expose it as ``GET /catalogs/<name>/changes``
-with long-poll and SSE variants.
+and the HTTP server exposes it as ``GET /catalogs/<name>/changes``
+with long-poll and SSE variants (polled on the server's event loop).
 
 Durability: when the registry runs with a SQLite storage tier, each
 recorded event is also appended (synchronously, in sequence order) to a
@@ -105,7 +105,7 @@ def snapshot_diff(old: Optional[Any], new: Any) -> Dict[str, Any]:
 
 
 class ChangeFeed:
-    """Per-catalog monotonic event log with long-poll support.
+    """Per-catalog monotonic event log.
 
     Thread-safe.  ``record`` is called by the registry on the mutating
     thread while it holds the per-name catalog lock, which is what makes
@@ -116,7 +116,7 @@ class ChangeFeed:
     """
 
     def __init__(self) -> None:
-        self._cv = threading.Condition()
+        self._lock = threading.Lock()
         self._events: Dict[str, List[Dict[str, Any]]] = {}
         self._heads: Dict[str, int] = {}
         self._listeners: List[Callable[[Dict[str, Any], Any], None]] = []
@@ -129,7 +129,7 @@ class ChangeFeed:
         self, callback: Callable[[Dict[str, Any], Any], None]
     ) -> None:
         """Register ``callback(event, catalog)`` for every new event."""
-        with self._cv:
+        with self._lock:
             self._listeners.append(callback)
 
     # -- recording ------------------------------------------------------
@@ -150,7 +150,7 @@ class ChangeFeed:
             "diff": snapshot_diff(old, new),
             "ts": time.time(),
         }
-        with self._cv:
+        with self._lock:
             seq = self._heads.get(name, 0) + 1
             event["seq"] = seq
             self._heads[name] = seq
@@ -160,7 +160,6 @@ class ChangeFeed:
                 del window[: len(window) - MAX_EVENTS_IN_MEMORY]
             persister = self.persister
             listeners = list(self._listeners)
-            self._cv.notify_all()
         if persister is not None:
             # In sequence order: record() runs under the registry's
             # per-name mutation lock, so appends cannot interleave.
@@ -184,57 +183,35 @@ class ChangeFeed:
         if not events:
             return
         ordered = sorted(events, key=lambda e: e.get("seq", 0))
-        with self._cv:
+        with self._lock:
             if self._heads.get(name, 0) > 0:
                 return
             window = ordered[-MAX_EVENTS_IN_MEMORY:]
             self._events[name] = list(window)
             self._heads[name] = ordered[-1].get("seq", len(ordered))
-            self._cv.notify_all()
 
     # -- querying -------------------------------------------------------
     def head(self, name: str) -> int:
         """Latest sequence number for ``name`` (0 = no events yet)."""
-        with self._cv:
+        with self._lock:
             return self._heads.get(name, 0)
 
     def events_since(
         self, name: str, since: int
     ) -> Tuple[int, List[Dict[str, Any]]]:
         """``(head, events with seq > since)``; 416 past the head."""
-        with self._cv:
-            return self._events_since_locked(name, since)
-
-    def _events_since_locked(
-        self, name: str, since: int
-    ) -> Tuple[int, List[Dict[str, Any]]]:
-        head = self._heads.get(name, 0)
-        if since > head:
-            raise ChangefeedRangeError(name, since, head)
-        if since == head:
-            return head, []
-        window = self._events.get(name, [])
-        return head, [dict(e) for e in window if e["seq"] > since]
-
-    def wait(
-        self, name: str, since: int, timeout: float
-    ) -> Tuple[int, List[Dict[str, Any]]]:
-        """Long-poll: block up to ``timeout`` seconds for events past
-        ``since``; returns ``(head, events)`` (empty on timeout)."""
-        deadline = time.monotonic() + max(0.0, timeout)
-        with self._cv:
-            while True:
-                head, events = self._events_since_locked(name, since)
-                if events:
-                    return head, events
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return head, []
-                self._cv.wait(remaining)
+        with self._lock:
+            head = self._heads.get(name, 0)
+            if since > head:
+                raise ChangefeedRangeError(name, since, head)
+            if since == head:
+                return head, []
+            window = self._events.get(name, [])
+            return head, [dict(e) for e in window if e["seq"] > since]
 
     # -- introspection --------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        with self._cv:
+        with self._lock:
             return {
                 name: {"head": head, "buffered": len(self._events.get(name, []))}
                 for name, head in sorted(self._heads.items())

@@ -1,14 +1,13 @@
-"""JSON HTTP front ends over :class:`SynthesisService`.
+"""The JSON HTTP API over :class:`SynthesisService`: routing, validation
+and error mapping (:class:`ServiceApi`), independent of any socket.
 
-Two transports share one routing/validation/error-mapping core
-(:class:`ServiceApi`):
-
-* :class:`SynthesisHTTPServer` -- the stdlib ``ThreadingHTTPServer``
-  (one thread per connection), built by :func:`create_server`;
-* :class:`~repro.service.async_http.AsyncSynthesisServer` -- the asyncio
-  front end that routes requests by cost (cheap lane in-process, learn
-  lane toward the worker pool), built by
-  :func:`~repro.service.async_http.create_async_server`.
+The transport is :class:`~repro.service.async_http.AsyncSynthesisServer`
+(built by :func:`~repro.service.async_http.create_server`), an asyncio
+front end that routes requests by cost: cheap lane in-process, learn
+lane toward the worker pool.  It owns only what needs the socket -- the
+``POST /fill/stream`` row stream and the long-poll/SSE changefeed --
+and answers everything else with exactly the status and body that
+:meth:`ServiceApi.route` returns in-process.
 
 The endpoints::
 
@@ -64,7 +63,6 @@ from __future__ import annotations
 import json
 import traceback
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import __version__
@@ -108,9 +106,10 @@ _ERROR_FIELDS = (
 LANE_LEARN = "learn"
 LANE_CHEAP = "cheap"
 
-#: A zero-argument callable producing the raw request body.  Transports
-#: pass their own reader so body-size/framing errors surface inside the
-#: API's error mapping (as 400s) instead of killing the connection.
+#: A zero-argument callable producing the raw request body.  The
+#: transport passes its own reader so body-size/framing errors surface
+#: inside the API's error mapping (as 400s) instead of killing the
+#: connection.
 BodyReader = Callable[[], bytes]
 
 
@@ -217,7 +216,7 @@ def _parse_table_spec(spec: Any) -> Table:
     return Table(name, columns, rows, keys=keys)
 
 
-#: The streaming fill endpoint, special-cased by both transports (its
+#: The streaming fill endpoint, special-cased by the transport (its
 #: body is a row *stream*, not a JSON document -- see ``streamfill``).
 STREAM_PATH = "/fill/stream"
 
@@ -297,8 +296,7 @@ def parse_stream_header(line: bytes) -> StreamSpec:
 CHANGES_SUFFIX = "/changes"
 
 #: Ceiling on ``?wait=`` long-poll durations: a subscriber wanting more
-#: than this should loop (or use SSE) -- unbounded parked connections
-#: are a resource-exhaustion footgun on the thread-per-connection server.
+#: than this should loop (or use SSE), so no connection parks unbounded.
 MAX_CHANGES_WAIT = 30.0
 
 #: How often an idle SSE stream emits a keepalive comment: bounds both
@@ -441,7 +439,7 @@ def map_exception(error: BaseException) -> Tuple[int, Dict[str, Any]]:
 class ServiceApi:
     """Transport-independent routing + validation + error mapping.
 
-    Both HTTP front ends delegate here: :meth:`resolve` finds the
+    The HTTP transport delegates here: :meth:`resolve` finds the
     endpoint, :meth:`route` runs it under the full error contract (it
     never raises), and :meth:`classify` names the dispatch lane --
     ``"learn"`` for requests that may pay CPU-bound synthesis (and
@@ -631,23 +629,18 @@ class ServiceApi:
     def catalog_changes(
         self, name: str, query: Dict[str, str]
     ) -> Tuple[int, Dict[str, Any]]:
-        """``GET /catalogs/<name>/changes``: the plain/long-poll variant.
+        """``GET /catalogs/<name>/changes``: the plain poll.
 
-        ``wait`` blocks (up to :data:`MAX_CHANGES_WAIT` seconds) for
-        events past ``since`` -- fine on the thread-per-connection
-        server; the async transport long-polls on its event loop
-        instead of through here.  ``since`` beyond the head raises
+        Answers at once with the events past ``since``; ``wait`` is the
+        transport's to honor (it long-polls on its event loop, not on a
+        thread).  ``since`` beyond the head raises
         :class:`~repro.exceptions.ChangefeedRangeError` (-> 416 with
         the current head).
         """
         registry = self.service.registry
         registry.get(name)  # unknown catalog -> 404 before range checks
         spec = parse_changes_query(query)
-        feed = registry.feed
-        if spec.wait > 0:
-            head, events = feed.wait(name, spec.since, timeout=spec.wait)
-        else:
-            head, events = feed.events_since(name, spec.since)
+        head, events = registry.feed.events_since(name, spec.since)
         if spec.limit is not None:
             events = events[: spec.limit]
         return 200, {
@@ -708,316 +701,3 @@ class ServiceApi:
         matchers = _parse_matchers_field(body)
         outputs = self.service.fill(program, rows, catalog=catalog, matchers=matchers)
         return 200, {"outputs": outputs, "rows": len(outputs)}
-
-
-class ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Thin socket transport over the server's :class:`ServiceApi`."""
-
-    server_version = f"repro-serve/{__version__}"
-    protocol_version = "HTTP/1.1"
-    #: Socket timeout (socketserver honors it): a client stalling
-    #: mid-request must not tie up a handler thread forever.
-    timeout = 60
-
-    # The server instance carries the service + api (see create_server).
-    @property
-    def service(self) -> SynthesisService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    @property
-    def api(self) -> ServiceApi:
-        return self.server.api  # type: ignore[attr-defined]
-
-    # -- plumbing ------------------------------------------------------
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if getattr(self.server, "quiet", True):
-            return
-        super().log_message(format, *args)
-
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            # Tell the client too (set when a request body went unread).
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_bytes(self) -> bytes:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            self.close_connection = True  # body length unknown: can't drain
-            raise BadRequest("Content-Length header must be an integer") from None
-        if length <= 0 or length > MAX_BODY_BYTES:
-            # Rejecting a request whose body we will not read leaves the
-            # unread bytes on the socket; under HTTP/1.1 keep-alive the
-            # handler would parse them as the next request line.  Drop
-            # the connection after responding.
-            self.close_connection = True
-            if length <= 0:
-                raise BadRequest("request needs a body (Content-Length missing)")
-            raise BadRequest(f"request body exceeds {MAX_BODY_BYTES} bytes")
-        return self.rfile.read(length)
-
-    # -- streaming fill ------------------------------------------------
-    def _body_chunks(self):
-        """Yield raw request-body chunks (Content-Length or chunked TE).
-
-        Unlike :meth:`_read_bytes` this never materializes the body;
-        it is the request half of the constant-memory streaming path.
-        Framing errors raise :class:`BadRequest`.
-        """
-        transfer = (self.headers.get("Transfer-Encoding") or "").lower()
-        if "chunked" in transfer:
-            while True:
-                size_line = self.rfile.readline(1024)
-                try:
-                    size = int(size_line.split(b";")[0].strip() or b"", 16)
-                except ValueError:
-                    raise BadRequest(
-                        f"malformed chunk-size line {size_line!r}"
-                    ) from None
-                if size == 0:
-                    # Consume optional trailers up to the blank line.
-                    while self.rfile.readline(1024) not in (b"\r\n", b"\n", b""):
-                        pass
-                    return
-                remaining = size
-                while remaining:
-                    data = self.rfile.read(min(remaining, 65536))
-                    if not data:
-                        raise BadRequest("request body ended mid-chunk")
-                    remaining -= len(data)
-                    yield data
-                self.rfile.read(2)  # the CRLF closing this chunk
-            return
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            raise BadRequest("Content-Length header must be an integer") from None
-        if length <= 0:
-            raise BadRequest(
-                "request needs a body (Content-Length or chunked "
-                "Transfer-Encoding)"
-            )
-        remaining = length
-        while remaining:
-            data = self.rfile.read(min(remaining, 65536))
-            if not data:
-                raise BadRequest("request body ended early")
-            remaining -= len(data)
-            yield data
-
-    def _write_stream_chunk(self, data: bytes) -> None:
-        if not data:
-            return  # a zero-size chunk would terminate the response
-        self.wfile.write(f"{len(data):x}\r\n".encode("latin-1"))
-        self.wfile.write(data)
-        self.wfile.write(b"\r\n")
-        self.wfile.flush()
-
-    def _handle_fill_stream(self) -> None:
-        """``POST /fill/stream``: rows in, NDJSON out, bounded memory.
-
-        The program is resolved (and its plan compiled) *before* the
-        status line commits, so bad references / stale programs /
-        missing tables still get their proper HTTP status.  After the
-        200 commits, a failure (ragged row, undecodable line) ends the
-        stream with one JSON-object error line; an early client
-        disconnect just abandons the fill.
-        """
-        from repro.service.streamfill import (
-            encode_outputs,
-            error_line,
-            make_reader,
-        )
-
-        # One logical stream per connection: response framing is
-        # chunked and the request body may be too; keep-alive re-sync
-        # is not worth the bookkeeping.
-        self.close_connection = True
-        try:
-            chunks = self._body_chunks()
-            buffered = b""
-            for data in chunks:
-                buffered += data
-                if b"\n" in buffered:
-                    break
-            header_line, _, remainder = buffered.partition(b"\n")
-            spec = parse_stream_header(header_line)
-            reader = make_reader(spec.format)
-            session = self.service.fill_session(
-                spec.program, catalog=spec.catalog, matchers=spec.matchers
-            )
-        except Exception as error:  # noqa: BLE001 -- mapped, never fatal
-            status, payload = map_exception(error)
-            self._send_json(status, payload)
-            return
-
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson; charset=utf-8")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.send_header("Connection", "close")
-        self.end_headers()
-
-        rows: List[List[str]] = []
-        start = 1
-
-        def drain() -> None:
-            nonlocal rows, start
-            while len(rows) >= spec.chunk_rows:
-                batch, rows = rows[: spec.chunk_rows], rows[spec.chunk_rows :]
-                self._write_stream_chunk(
-                    encode_outputs(session.fill_chunk(batch, start=start))
-                )
-                start += len(batch)
-
-        try:
-            try:
-                if remainder:
-                    rows.extend(reader.feed(remainder))
-                    drain()
-                for data in chunks:
-                    rows.extend(reader.feed(data))
-                    drain()
-                rows.extend(reader.finish())
-                while rows:
-                    batch, rows = rows[: spec.chunk_rows], rows[spec.chunk_rows :]
-                    self._write_stream_chunk(
-                        encode_outputs(session.fill_chunk(batch, start=start))
-                    )
-                    start += len(batch)
-            except (ValueError, ServiceError) as error:
-                self._write_stream_chunk(error_line(str(error)))
-            self.wfile.write(b"0\r\n\r\n")
-            self.wfile.flush()
-        except (BrokenPipeError, ConnectionError, OSError):
-            return  # client went away mid-stream; abandon the fill
-
-    def _handle_changes_sse(self, name: str, query: Dict[str, str]) -> None:
-        """``GET /catalogs/<name>/changes`` as an SSE stream.
-
-        Validation errors (unknown catalog, bad/over-head ``since``)
-        still map to their JSON statuses -- the event stream only
-        starts once the subscription is known good.  Each event goes
-        out as ``id: <seq>`` + ``event: change`` + one ``data:`` line;
-        idle periods emit comment keepalives.  ``limit=N`` closes the
-        stream after N events (handy for scripted consumers and tests);
-        otherwise the stream runs until the client disconnects.
-        """
-        from repro.service.streamfill import sse_event
-
-        self.close_connection = True
-        registry = self.service.registry
-        try:
-            registry.get(name)
-            spec = parse_changes_query(query)
-            head, events = registry.feed.events_since(name, spec.since)
-        except Exception as error:  # noqa: BLE001 -- mapped, never fatal
-            status, payload = map_exception(error)
-            self._send_json(status, payload)
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream; charset=utf-8")
-        self.send_header("Cache-Control", "no-cache")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        last = spec.since
-        sent = 0
-        try:
-            while True:
-                for event in events:
-                    self.wfile.write(
-                        sse_event(event, event="change", id=event["seq"])
-                    )
-                    last = int(event["seq"])
-                    sent += 1
-                    if spec.limit is not None and sent >= spec.limit:
-                        self.wfile.flush()
-                        return
-                self.wfile.flush()
-                _, events = registry.feed.wait(
-                    name, last, timeout=SSE_KEEPALIVE_SECONDS
-                )
-                if not events:
-                    # Keepalive comment: detects dead clients and keeps
-                    # intermediaries from timing the stream out.
-                    self.wfile.write(b": keepalive\n\n")
-                    self.wfile.flush()
-        except (BrokenPipeError, ConnectionError, OSError):
-            return  # client went away; abandon the stream
-
-    def _handle(self, method: str) -> None:
-        path, query = ServiceApi.split_target(self.path)
-        if method == "POST" and path == STREAM_PATH:
-            self._handle_fill_stream()
-            return
-        if method == "GET":
-            changes_name = changes_catalog(path)
-            if changes_name is not None and wants_sse(
-                query, self.headers.get("Accept")
-            ):
-                self._handle_changes_sse(changes_name, query)
-                return
-        if method in ("POST", "PUT") and self.api.resolve(method, path) is None:
-            # The request body is never read on this branch; keep-alive
-            # would parse it as the next request line (see _read_bytes).
-            self.close_connection = True
-            self._send_json(
-                404, {"error": f"no such endpoint: {method} {path}"}
-            )
-            return
-        status, payload = self.api.route(
-            method,
-            path,
-            query,
-            self.headers.get("Content-Type"),
-            self._read_bytes,
-        )
-        self._send_json(status, payload)
-
-    def do_GET(self) -> None:  # noqa: N802 -- BaseHTTPRequestHandler API
-        self._handle("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 -- BaseHTTPRequestHandler API
-        self._handle("POST")
-
-    def do_PUT(self) -> None:  # noqa: N802 -- BaseHTTPRequestHandler API
-        self._handle("PUT")
-
-
-class SynthesisHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server that owns one :class:`SynthesisService`."""
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        service: SynthesisService,
-        quiet: bool = True,
-    ) -> None:
-        super().__init__(address, ServiceRequestHandler)
-        self.service = service
-        self.api = ServiceApi(service)
-        self.quiet = quiet
-
-
-def create_server(
-    service: SynthesisService,
-    host: str = "127.0.0.1",
-    port: int = 8765,
-    quiet: bool = True,
-) -> SynthesisHTTPServer:
-    """Bind (but do not start) the service's threaded HTTP server.
-
-    ``port=0`` binds an ephemeral port; read the actual one from
-    ``server.server_address[1]``.  Call ``serve_forever()`` to run, from
-    this thread or a daemon thread (the handler pool is already
-    per-connection threads either way).  For the asyncio front end see
-    :func:`repro.service.async_http.create_async_server`.
-    """
-    return SynthesisHTTPServer((host, port), service, quiet=quiet)

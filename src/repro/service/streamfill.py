@@ -1,7 +1,7 @@
 """Incremental row codecs for the streaming fill pipeline.
 
-The streaming transports (``POST /fill/stream`` on both HTTP front
-ends, ``repro fill --rows - --stream``) move rows as *byte chunks* of
+The streaming transports (``POST /fill/stream`` on the HTTP server,
+``repro fill --rows - --stream``) move rows as *byte chunks* of
 arbitrary framing -- a chunk may end mid-line, mid-CSV-record, even
 mid-UTF-8-character.  The readers here absorb chunks and emit only the
 *complete* rows so far, holding at most one partial record:
@@ -231,8 +231,8 @@ def sse_event(
     ``payload`` is JSON-encoded onto a single ``data:`` line (compact
     separators -- SSE frames are line-framed, so the payload must not
     contain raw newlines), followed by the blank line that terminates
-    the frame.  Both changefeed transports (threaded and async) emit
-    feed events through here so the wire bytes are identical.
+    the frame.  The HTTP server's changefeed stream emits every feed
+    event through here.
     """
     lines: List[bytes] = []
     if id is not None:

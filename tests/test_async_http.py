@@ -1,16 +1,20 @@
-"""The asyncio front end: same API surface as the threaded server.
+"""The HTTP server: one asyncio transport over one :class:`ServiceApi`.
 
-One :class:`ServiceApi` backs both transports, so every endpoint must
-answer identically over either; the async loop only adds cost-routing
-(fills in-process on the cheap lane, learns toward the worker pool) and
-HTTP/1.1 framing of its own, which is what these tests exercise --
-including the serving-consistency satellite: fill responses stay
-byte-identical while other clients append rows to the same catalog.
+Every endpoint must answer exactly as ``ServiceApi.route`` does
+in-process; the server only adds cost-routing (fills in-process on the
+cheap lane, learns toward the worker pool) and HTTP/1.1 framing of its
+own -- keep-alive, refused bodies, ``Expect: 100-continue`` -- plus the
+stdlib-style ``shutdown(); server_close()`` lifecycle and the access
+log, which is what these tests exercise -- plus serving consistency:
+fill responses stay byte-identical while other clients append rows to
+the same catalog.
 """
 
 import json
+import re
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -19,11 +23,12 @@ import pytest
 
 from repro.service import (
     ProgramStore,
+    ServiceApi,
     SynthesisService,
     WorkerPool,
-    create_async_server,
     create_server,
 )
+from repro.service.streamfill import sse_event
 from repro.tables.catalog import Catalog
 from repro.tables.table import Table
 
@@ -56,7 +61,7 @@ def boot(server):
 
 @pytest.fixture()
 def server(tmp_path):
-    server = create_async_server(make_service(tmp_path), port=0)
+    server = create_server(make_service(tmp_path), port=0)
     thread = boot(server)
     yield server
     server.shutdown()
@@ -98,20 +103,36 @@ def raw_exchange(server, blob, timeout=10.0):
     with socket.create_connection((host, port), timeout=timeout) as sock:
         sock.sendall(blob)
         sock.shutdown(socket.SHUT_WR)
-        chunks = []
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                return b"".join(chunks)
-            chunks.append(chunk)
+        return read_to_end(sock)
+
+
+def read_to_end(sock):
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def read_until(sock, marker):
+    """Bytes received up to and including the first ``marker``."""
+    data = b""
+    while marker not in data:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    return data
 
 
 class TestTransportParity:
-    def test_every_endpoint_answers_like_the_threaded_server(self, tmp_path):
-        """Same service, both transports: identical bodies (timing aside)."""
-        threaded = create_server(make_service(tmp_path / "a"), port=0)
-        asynced = create_async_server(make_service(tmp_path / "b"), port=0)
-        threads = [boot(threaded), boot(asynced)]
+    def test_every_endpoint_answers_like_the_in_process_api(self, tmp_path):
+        """The server adds transport only: every reply equals what
+        ``ServiceApi.route`` returns in-process on a twin service."""
+        served = create_server(make_service(tmp_path / "a"), port=0)
+        twin = ServiceApi(make_service(tmp_path / "b"))
+        thread = boot(served)
         try:
             volatile = {
                 "elapsed_seconds",
@@ -147,9 +168,9 @@ class TestTransportParity:
                 ("GET", "/catalogs/default/changes?since=42", None),
                 ("GET", "/catalogs/nope/changes?since=0", None),
                 # Destructive replace, then a fill of the now-stale
-                # artifact: the 409 body must match shape across
-                # transports (relearn cannot save "q": one example and
-                # no tables left would fit it -- see below).
+                # artifact: the 409 body must match shape in-process and
+                # over HTTP (relearn cannot save "q": one example and no
+                # tables left would fit it -- see below).
                 (
                     "POST",
                     "/learn",
@@ -173,74 +194,56 @@ class TestTransportParity:
                 ("POST", "/fill", {"program": "q", "rows": [["c1"]]}),
             ]
             statuses = []
-            for method, path, payload in calls:
-                replies = []
-                for server in (threaded, asynced):
-                    if method == "GET":
-                        replies.append(get(server, path))
-                    else:
-                        replies.append(post(server, path, payload, method))
-                (status_a, body_a), (status_b, body_b) = replies
-                assert status_a == status_b, (path, body_a, body_b)
-                assert normalize(body_a) == normalize(body_b), path
-                statuses.append(status_a)
-                last_body = body_a
+            for method, target, payload in calls:
+                if method == "GET":
+                    status, body = get(served, target)
+                    data, content_type = b"", None
+                else:
+                    status, body = post(served, target, payload, method)
+                    data = json.dumps(payload).encode("utf-8")
+                    content_type = "application/json"
+                path, query = ServiceApi.split_target(target)
+                ref_status, ref_body = twin.route(
+                    method, path, query, content_type, lambda: data
+                )
+                ref_body = json.loads(json.dumps(ref_body, ensure_ascii=False))
+                assert status == ref_status, (target, body, ref_body)
+                assert normalize(body) == normalize(ref_body), target
+                statuses.append(status)
+                last_body = body
             assert statuses[-4:] == [404, 200, 200, 409]
             # Pin the 409 shape clients key off of.
             assert last_body["program"] == "q"
             assert last_body["changes"] == ["table 'Comp' was removed"]
         finally:
-            for server in (threaded, asynced):
-                server.shutdown()
-            for thread in threads:
-                thread.join(timeout=10)
-            for server in (threaded, asynced):
-                server.server_close()
-                server.service.close()
+            served.shutdown()
+            thread.join(timeout=10)
+            served.server_close()
+            served.service.close()
+            twin.service.close()
 
-    def test_changes_sse_frames_match_across_transports(self, tmp_path):
-        """Same mutations, same SSE frames (ids, event names, data)."""
-        threaded = create_server(make_service(tmp_path / "a"), port=0)
-        asynced = create_async_server(make_service(tmp_path / "b"), port=0)
-        threads = [boot(threaded), boot(asynced)]
-        try:
-            frames_by_server = []
-            for server in (threaded, asynced):
-                server.service.registry.append_rows(
-                    "default", "Comp", [["x0", "NewCo0"]]
-                )
-                raw = raw_exchange(
-                    server,
-                    b"GET /catalogs/default/changes?since=0&sse=1&limit=2 "
-                    b"HTTP/1.1\r\nHost: x\r\n\r\n",
-                    timeout=30.0,
-                )
-                head, _, payload = raw.partition(b"\r\n\r\n")
-                assert b"text/event-stream" in head, head
-                frames = []
-                for frame in payload.split(b"\n\n"):
-                    if not frame or frame.startswith(b":"):
-                        continue
-                    lines = frame.split(b"\n")
-                    event = json.loads(lines[2][len(b"data: ") :])
-                    event.pop("ts")
-                    frames.append((lines[0], lines[1], event))
-                frames_by_server.append(frames)
-            assert len(frames_by_server[0]) == 2
-            assert frames_by_server[0] == frames_by_server[1]
-        finally:
-            for server in (threaded, asynced):
-                server.shutdown()
-            for thread in threads:
-                thread.join(timeout=10)
-            for server in (threaded, asynced):
-                server.server_close()
-                server.service.close()
+    def test_changes_sse_frames_are_the_feed_events(self, server):
+        """Each SSE frame is ``sse_event`` of one feed event, byte for byte."""
+        registry = server.service.registry
+        registry.append_rows("default", "Comp", [["x0", "NewCo0"]])
+        raw = raw_exchange(
+            server,
+            b"GET /catalogs/default/changes?since=0&sse=1&limit=2 "
+            b"HTTP/1.1\r\nHost: x\r\n\r\n",
+            timeout=30.0,
+        )
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        assert b"text/event-stream" in head, head
+        _, events = registry.feed.events_since("default", 0)
+        assert len(events) == 2
+        assert payload == b"".join(
+            sse_event(event, event="change", id=event["seq"]) for event in events
+        )
 
     def test_port_zero_is_readable_before_the_loop_runs(self, tmp_path):
         """The bind happens in the constructor: ``repro serve`` can print
         the real port (and only then fork workers) before serving."""
-        server = create_async_server(make_service(tmp_path), port=0)
+        server = create_server(make_service(tmp_path), port=0)
         try:
             host, port = server.server_address[:2]
             assert port != 0
@@ -305,6 +308,141 @@ class TestFraming:
         )
         assert raw.startswith(b"HTTP/1.1 400")
 
+    def test_refused_chunked_body_closes_before_the_pipelined_request(
+        self, server
+    ):
+        """Only ``/fill/stream`` reads chunked bodies; refusing one must
+        close the connection, not parse its chunk-size line as the next
+        (pipelined) request."""
+        body = json.dumps({"examples": EXAMPLES_JSON}).encode("utf-8")
+        raw = raw_exchange(
+            server,
+            b"POST /learn HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(body)
+            + body
+            + b"\r\n0\r\n\r\n"
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+        )
+        head, _, reply = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400"), raw
+        assert b"Connection: close" in head
+        assert "chunked" in json.loads(reply)["error"]
+        assert raw.count(b"HTTP/1.1 ") == 1, raw
+
+    def test_expect_100_continue_is_answered_before_the_body(self, server):
+        body = json.dumps({"examples": EXAMPLES_JSON}).encode("utf-8")
+        with socket.create_connection(server.server_address, timeout=5) as sock:
+            sock.sendall(
+                b"POST /learn HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Expect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            assert read_until(sock, b"\r\n\r\n") == (
+                b"HTTP/1.1 100 Continue\r\n\r\n"
+            )
+            sock.sendall(body)
+            sock.shutdown(socket.SHUT_WR)
+            raw = read_to_end(sock)
+        head, _, reply = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200"), raw
+        assert json.loads(reply)["cache"] == "miss"
+
+    def test_expect_100_continue_on_the_stream_route(self, server):
+        status, _ = post(server, "/learn", {"examples": EXAMPLES_JSON, "save": "p"})
+        assert status == 200
+        stream = b'{"program": "p"}\n["c2 c5 c6"]\n'
+        with socket.create_connection(server.server_address, timeout=5) as sock:
+            sock.sendall(
+                b"POST /fill/stream HTTP/1.1\r\nHost: x\r\n"
+                b"Expect: 100-continue\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+            )
+            assert read_until(sock, b"\r\n\r\n") == (
+                b"HTTP/1.1 100 Continue\r\n\r\n"
+            )
+            sock.sendall(b"%x\r\n" % len(stream) + stream + b"\r\n0\r\n\r\n")
+            raw = read_to_end(sock)
+        assert raw.startswith(b"HTTP/1.1 200"), raw
+        assert b'"Google IBM Xerox"' in raw
+
+    def test_refused_body_gets_its_final_status_without_100(self, server):
+        raw = raw_exchange(
+            server,
+            b"POST /learn HTTP/1.1\r\nHost: x\r\n"
+            b"Expect: 100-continue\r\n"
+            b"Content-Length: %d\r\n\r\n" % (1 << 40),
+        )
+        assert raw.startswith(b"HTTP/1.1 400"), raw
+        assert b"Connection: close" in raw.split(b"\r\n\r\n", 1)[0]
+
+
+class TestLifecycle:
+    def test_shutdown_then_server_close_is_clean(self, tmp_path, monkeypatch):
+        """The stdlib teardown order: ``shutdown()`` returns once the loop
+        has stopped and both lanes are shut down, so ``server_close()``
+        never closes the socket under a running loop."""
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        service = make_service(tmp_path)
+        server = create_server(service, port=0)
+        thread = boot(server)
+        try:
+            # One request per lane, so both lanes have live threads.
+            assert post(server, "/learn", {"examples": EXAMPLES_JSON})[0] == 200
+            assert get(server, "/healthz")[0] == 200
+            lanes = list(server._executors.values())
+            server.shutdown()
+            for lane in lanes:
+                with pytest.raises(RuntimeError):
+                    lane.submit(int)  # shut down: takes no new work
+            server.server_close()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        finally:
+            service.close()
+        assert len(lanes) == 2
+        assert crashes == []
+
+    def test_shutdown_of_a_server_that_never_started_returns(self, tmp_path):
+        server = create_server(make_service(tmp_path), port=0)
+        try:
+            stopper = threading.Thread(target=server.shutdown, daemon=True)
+            stopper.start()
+            stopper.join(timeout=5)
+            assert not stopper.is_alive()
+            started = time.monotonic()
+            server.serve_forever()  # stopped before it started: returns
+            assert time.monotonic() - started < 5
+        finally:
+            server.server_close()
+            server.service.close()
+
+    def test_verbose_server_logs_one_line_per_request(self, tmp_path, capsys):
+        server = create_server(make_service(tmp_path), port=0, quiet=False)
+        thread = boot(server)
+        try:
+            assert get(server, "/healthz")[0] == 200
+            assert post(server, "/learn", {"examples": EXAMPLES_JSON})[0] == 200
+            assert get(server, "/nope")[0] == 404
+        finally:
+            server.shutdown()
+            thread.join(timeout=10)
+            server.server_close()
+            server.service.close()
+        lines = capsys.readouterr().err.splitlines()
+        shape = (
+            r'127\.0\.0\.1 - - \[\d\d/\w{3}/\d{4} \d\d:\d\d:\d\d\] '
+            r'"(.*)" (\d{3}) -'
+        )
+        assert [re.fullmatch(shape, line).groups() for line in lines] == [
+            ("GET /healthz HTTP/1.1", "200"),
+            ("POST /learn HTTP/1.1", "200"),
+            ("GET /nope HTTP/1.1", "404"),
+        ]
+
 
 class TestServingConsistency:
     def test_fills_byte_identical_under_simultaneous_appends(self, server):
@@ -356,7 +494,7 @@ class TestPoolIntegration:
         service = make_service(tmp_path)
         pool = WorkerPool(1, catalogs=[service.engine.catalog])
         service.attach_pool(pool)
-        server = create_async_server(service, port=0)
+        server = create_server(service, port=0)
         thread = boot(server)
         try:
             status, health = get(server, "/healthz")

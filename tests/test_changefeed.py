@@ -3,8 +3,8 @@
 Every catalog mutation path flows through one versioned feed per
 catalog: strictly monotonic, gap-free ``(seq, old_fingerprint,
 new_fingerprint, diff)`` transitions, durable under ``--storage
-sqlite``, long-pollable over ``GET /catalogs/<name>/changes`` on both
-front ends.  The revalidation subsystem rides the feed: stored
+sqlite``, long-pollable (and streamed as SSE) over ``GET
+/catalogs/<name>/changes``.  The revalidation subsystem rides the feed: stored
 artifacts are rebound (grow-only), relearned (from persisted examples)
 or marked stale with the exact diff -- so ``name@version`` refs keep
 serving across catalog churn instead of springing 409s.
@@ -26,7 +26,6 @@ from repro.service import (
     CatalogRegistry,
     ProgramStore,
     SynthesisService,
-    create_async_server,
     create_server,
 )
 from repro.service.changefeed import snapshot_diff
@@ -103,20 +102,6 @@ class TestFeedCore:
         assert [e["seq"] for e in events] == [2]
         head, events = registry.feed.events_since("c", 2)
         assert events == []
-
-    def test_wait_returns_on_new_event(self):
-        registry = CatalogRegistry()
-        registry.register("c", codes_catalog())
-
-        def append_soon():
-            time.sleep(0.2)
-            registry.append_rows("c", "Codes", [["c", "charlie"]])
-
-        threading.Thread(target=append_soon, daemon=True).start()
-        start = time.monotonic()
-        head, events = registry.feed.wait("c", 1, timeout=10.0)
-        assert time.monotonic() - start < 5.0
-        assert [e["seq"] for e in events] == [2]
 
     def test_listener_errors_never_break_mutations(self):
         registry = CatalogRegistry()
@@ -406,20 +391,13 @@ def http_post(base, path, payload):
         return error.code, json.loads(error.read().decode("utf-8"))
 
 
-TRANSPORTS = [
-    pytest.param(create_server, id="threaded"),
-    pytest.param(create_async_server, id="async"),
-]
-
-
-@pytest.mark.parametrize("factory", TRANSPORTS)
 class TestChangesEndpoint:
     @pytest.fixture()
-    def served(self, factory, tmp_path):
+    def served(self, tmp_path):
         service = SynthesisService(
             codes_catalog(), store=ProgramStore(tmp_path / "store")
         )
-        server = factory(service, port=0)
+        server = create_server(service, port=0)
         thread = boot(server)
         host, port = server.server_address[:2]
         try:
@@ -501,7 +479,7 @@ class TestChangesEndpoint:
 
     def test_zero_409s_on_old_refs_under_concurrent_appends(self, served):
         """The acceptance gate: grow-only appends racing versioned fills
-        never produce a StaleProgramError on either transport."""
+        never produce a StaleProgramError."""
         service, base = served
         status, body = http_post(
             base,

@@ -289,6 +289,15 @@ class TestServeSubcommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_async_flag_still_parses_but_is_hidden(self):
+        """asyncio is the only server: ``--async`` selects nothing, but
+        old command lines that pass it must keep working."""
+        from repro.cli import build_serve_parser
+
+        parser = build_serve_parser()
+        assert "--async" not in parser.format_help()
+        parser.parse_args(["--async", "--port", "0"])
+
 
 class TestCatalogSubcommand:
     def test_add_list_show_append_roundtrip(self, workdir, capsys):

@@ -3,7 +3,7 @@
 ``POST /fill/stream`` takes a one-line JSON header followed by a row
 stream (NDJSON or CSV) and answers with chunked NDJSON -- one JSON
 string (or ``null``) per input row, blank rows included.  The contract
-under test, over BOTH HTTP front ends (threaded and asyncio):
+under test, over the HTTP server:
 
 * row framing survives arbitrary transport chunk boundaries, including
   splits in the middle of a multi-byte UTF-8 character;
@@ -34,7 +34,6 @@ from repro.service import (
     ProgramStore,
     SynthesisService,
     WorkerPool,
-    create_async_server,
     create_server,
 )
 from repro.service.streamfill import (
@@ -145,38 +144,19 @@ class TestRowCodecs:
         assert line == {"error": "boom 1"}
 
 
-# --- HTTP transports -----------------------------------------------------
+# --- HTTP ----------------------------------------------------------------
 
 
-def boot_threaded(service):
-    server = create_server(service, host="127.0.0.1", port=0)
+@pytest.fixture()
+def server(tmp_path):
+    service = make_service(tmp_path)
+    server = create_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    return server, thread
-
-
-def stop_threaded(server, thread):
+    yield server
     server.shutdown()
+    thread.join(timeout=10)
     server.server_close()
-    thread.join(timeout=5)
-
-
-@pytest.fixture(params=["threaded", "async"])
-def server(request, tmp_path):
-    """One fixture, both transports: every test runs against each."""
-    service = make_service(tmp_path)
-    if request.param == "threaded":
-        server, thread = boot_threaded(service)
-        yield server
-        stop_threaded(server, thread)
-    else:
-        server = create_async_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server
-        server.shutdown()
-        thread.join(timeout=10)
-        server.server_close()
     service.close()
 
 

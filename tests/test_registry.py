@@ -208,7 +208,6 @@ class TestServiceIntegration:
         registry.register("demo", [comp_table()])
         service = SynthesisService(registry=registry, default_catalog="demo")
         published = {registry.get("demo").fingerprint(): registry.get("demo")}
-        publish_lock = threading.Lock()
         stop = threading.Event()
         errors = []
         observations = []
@@ -218,8 +217,7 @@ class TestServiceIntegration:
                 snapshot = registry.append_rows(
                     "demo", "Comp", [(f"w{step}", f"Writer{step}")]
                 )
-                with publish_lock:
-                    published[snapshot.fingerprint()] = snapshot
+                published[snapshot.fingerprint()] = snapshot
             stop.set()
 
         def reader(seed):
@@ -233,15 +231,7 @@ class TestServiceIntegration:
                     ))
                 ]
                 try:
-                    reply = service.learn(task, k=1)
-                    with publish_lock:
-                        snapshot = published.get(reply.catalog_fingerprint)
-                    if snapshot is None:
-                        errors.append(
-                            f"unpublished fingerprint {reply.catalog_fingerprint}"
-                        )
-                        continue
-                    observations.append((task[0], reply, snapshot))
+                    observations.append((task[0], service.learn(task, k=1)))
                 except Exception as error:  # noqa: BLE001 -- surface in main thread
                     errors.append(repr(error))
 
@@ -253,10 +243,22 @@ class TestServiceIntegration:
             thread.join()
         assert not errors, errors
         assert observations
-        # Each observed result must equal a fresh single-catalog
-        # Synthesizer over the snapshot its fingerprint names.
+        # The registry publishes a snapshot before append_rows returns it
+        # to the writer, so fingerprints are resolved only now that every
+        # thread has joined: each must name a snapshot the writer
+        # published, and the result must equal a fresh single-catalog
+        # Synthesizer over that snapshot.
+        unpublished = sorted(
+            {
+                reply.catalog_fingerprint
+                for _, reply in observations
+                if reply.catalog_fingerprint not in published
+            }
+        )
+        assert not unpublished, f"unpublished fingerprints {unpublished}"
         verified = set()
-        for (inputs, output), reply, snapshot in observations:
+        for (inputs, output), reply in observations:
+            snapshot = published[reply.catalog_fingerprint]
             key = (inputs, output, reply.catalog_fingerprint)
             if key in verified:
                 continue

@@ -1,6 +1,6 @@
 """Multi-catalog HTTP surface: registry endpoints, staleness, typed errors.
 
-Runs a real ``ThreadingHTTPServer`` on an ephemeral port and exercises
+Runs the real HTTP server on an ephemeral port and exercises
 the PR-5 surface end to end: PUT/GET ``/catalogs``, CSV and JSON table
 uploads, copy-on-write row appends, the ``catalog`` field on
 ``/learn``/``/fill``, artifact catalog provenance with re-resolve vs

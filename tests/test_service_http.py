@@ -1,4 +1,4 @@
-"""Tests for the JSON HTTP API (ThreadingHTTPServer over SynthesisService)."""
+"""Tests for the JSON HTTP API (the asyncio server over SynthesisService)."""
 
 import json
 import threading
@@ -253,9 +253,12 @@ class TestErrors:
         finally:
             connection.close()
 
-    def test_post_unknown_route_with_body_closes_the_connection(self, server):
-        """A POST to an unknown route never reads its body; keep-alive
-        would parse those bytes as the next request line."""
+    def test_post_unknown_route_with_body_keeps_the_connection_in_sync(
+        self, server
+    ):
+        """The body of a POST to an unknown route is drained before the
+        404, so the next request on the same keep-alive connection is
+        answered, not parsed out of the leftover body bytes."""
         import http.client
 
         host, port = server.server_address[:2]
@@ -270,7 +273,12 @@ class TestErrors:
             response = connection.getresponse()
             assert response.status == 404
             response.read()
-            assert response.will_close
+            sock = connection.sock
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+            assert connection.sock is sock  # the same connection
         finally:
             connection.close()
 
