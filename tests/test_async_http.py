@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro import __version__
 from repro.service import (
     ProgramStore,
     ServiceApi,
@@ -378,6 +379,83 @@ class TestFraming:
         assert raw.startswith(b"HTTP/1.1 400"), raw
         assert b"Connection: close" in raw.split(b"\r\n\r\n", 1)[0]
 
+    @pytest.mark.parametrize(
+        "length_header, message",
+        [
+            (b"", "needs a body"),
+            (b"Content-Length: -5\r\n", "non-negative integer"),
+            (b"Content-Length: 1e3\r\n", "non-negative integer"),
+            (b"Content-Length: %d\r\n" % (1 << 40), "exceeds"),
+        ],
+        ids=["missing", "negative", "non-integer", "oversized"],
+    )
+    def test_refused_length_closes_before_the_pipelined_request(
+        self, server, length_header, message
+    ):
+        """Every Content-Length the server will not read ends the
+        connection: the bytes after the head are never parsed as a
+        request of their own."""
+        raw = raw_exchange(
+            server,
+            b"POST /learn HTTP/1.1\r\nHost: x\r\n"
+            + length_header
+            + b"\r\nGET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+        )
+        head, _, reply = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400"), raw
+        assert b"Connection: close" in head
+        assert message in json.loads(reply)["error"]
+        assert raw.count(b"HTTP/1.1 ") == 1, raw
+
+    @pytest.mark.parametrize(
+        "version, connection, kept",
+        [
+            (b"HTTP/1.0", b"", False),
+            (b"HTTP/1.0", b"Connection: keep-alive\r\n", True),
+            (b"HTTP/1.1", b"Connection: close\r\n", False),
+        ],
+        ids=["http10-default", "http10-keep-alive", "http11-close"],
+    )
+    def test_connection_header_decides_keep_alive(
+        self, server, version, connection, kept
+    ):
+        raw = raw_exchange(
+            server,
+            b"GET /healthz " + version + b"\r\nHost: x\r\n" + connection
+            + b"\r\nGET /stats HTTP/1.1\r\nHost: x\r\n"
+            b"Connection: close\r\n\r\n",
+        )
+        head = raw.split(b"\r\n\r\n", 1)[0]
+        assert head.startswith(b"HTTP/1.1 200"), raw
+        expected = b"keep-alive" if kept else b"close"
+        assert b"Connection: " + expected in head
+        assert raw.count(b"HTTP/1.1 200") == (2 if kept else 1), raw
+
+    def test_expect_100_continue_is_not_sent_to_http_1_0_clients(
+        self, server
+    ):
+        """An HTTP/1.0 client cannot read an interim reply; it sends its
+        body at once and gets only the final status."""
+        body = json.dumps({"examples": EXAMPLES_JSON}).encode("utf-8")
+        raw = raw_exchange(
+            server,
+            b"POST /learn HTTP/1.0\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Expect: 100-continue\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body) + body,
+        )
+        assert raw.startswith(b"HTTP/1.1 200"), raw
+        assert b"100 Continue" not in raw
+
+    def test_status_line_carries_the_reason_and_server_name(self, server):
+        raw = raw_exchange(
+            server,
+            b"GET /nope HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        )
+        head = raw.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
+        assert head[0] == b"HTTP/1.1 404 Not Found"
+        assert b"Server: repro-serve/" + __version__.encode() in head
+
 
 class TestLifecycle:
     def test_shutdown_then_server_close_is_clean(self, tmp_path, monkeypatch):
@@ -442,6 +520,55 @@ class TestLifecycle:
             ("POST /learn HTTP/1.1", "200"),
             ("GET /nope HTTP/1.1", "404"),
         ]
+
+    def test_access_log_escapes_control_characters(self, tmp_path, capsys):
+        """A request line cannot forge or garble log lines: control
+        characters are written as ``\\xNN`` escapes."""
+        server = create_server(make_service(tmp_path), port=0, quiet=False)
+        thread = boot(server)
+        try:
+            raw = raw_exchange(
+                server, b"GET /a\x1b[2Jb HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+            assert raw.startswith(b"HTTP/1.1 404"), raw
+        finally:
+            server.shutdown()
+            thread.join(timeout=10)
+            server.server_close()
+            server.service.close()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert '"GET /a\\x1b[2Jb HTTP/1.1" 404 -' in line
+        assert "\x1b" not in line
+
+    def test_quiet_server_logs_nothing(self, server, capsys):
+        assert get(server, "/healthz")[0] == 200
+        assert get(server, "/nope")[0] == 404
+        assert capsys.readouterr().err == ""
+
+    def test_shutdown_does_not_wait_for_a_parked_long_poll(self, tmp_path):
+        """A long-poll waits on the event loop, outside the drain of
+        in-flight requests: shutdown ends it instead of outliving it."""
+        server = create_server(make_service(tmp_path), port=0)
+        thread = boot(server)
+        try:
+            with socket.create_connection(
+                server.server_address, timeout=20
+            ) as sock:
+                sock.sendall(
+                    b"GET /catalogs/default/changes?since=1&wait=30 "
+                    b"HTTP/1.1\r\nHost: x\r\n\r\n"
+                )
+                time.sleep(0.3)  # let the poll park
+                started = time.monotonic()
+                server.shutdown()
+                assert time.monotonic() - started < 10
+                assert read_to_end(sock) == b""  # dropped, never answered
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        finally:
+            server.shutdown()
+            server.server_close()
+            server.service.close()
 
 
 class TestServingConsistency:

@@ -448,6 +448,50 @@ class TestChangesEndpoint:
         assert [e["kind"] for e in body["events"]] == ["rows"]
         assert elapsed < 10.0
 
+    def test_long_poll_times_out_with_no_events(self, served):
+        service, base = served
+        start = time.monotonic()
+        status, body = http_get(
+            base, "/catalogs/default/changes?since=1&wait=0.5"
+        )
+        elapsed = time.monotonic() - start
+        assert status == 200
+        assert body["head"] == 1 and body["events"] == []
+        assert 0.4 <= elapsed < 10.0
+
+    @pytest.mark.parametrize(
+        "path, status",
+        [
+            ("/catalogs/nope/changes?since=0&wait=30", 404),
+            ("/catalogs/default/changes?since=7&wait=30", 416),
+            ("/catalogs/default/changes?since=1&wait=soon", 400),
+        ],
+        ids=["unknown-catalog", "past-head", "bad-wait"],
+    )
+    def test_long_poll_errors_answer_at_once(self, served, path, status):
+        """A long-poll that cannot succeed is not parked: the plain
+        poll's error status comes back without waiting."""
+        service, base = served
+        start = time.monotonic()
+        got, body = http_get(base, path)
+        assert got == status, body
+        assert "error" in body
+        assert time.monotonic() - start < 10.0
+
+    def test_sse_on_unknown_catalog_is_json_404(self, served):
+        service, base = served
+        request = urllib.request.Request(
+            base + "/catalogs/nope/changes?since=0",
+            headers={"Accept": "text/event-stream"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=20)
+        assert caught.value.code == 404
+        assert caught.value.headers["Content-Type"].startswith(
+            "application/json"
+        )
+        assert "error" in json.loads(caught.value.read().decode("utf-8"))
+
     def test_sse_streams_frames_until_limit(self, served):
         service, base = served
         service.registry.append_rows("default", "Codes", [["c", "charlie"]])
