@@ -1,22 +1,5 @@
-"""Lazy/cached intersection and process-pool batching: the perf harness.
+"""Process-pool batch throughput: the perf harness.
 
-Measures the intersect-side hot paths this PR rebuilt, each against its
-naive oracle (``use_lazy_intersection=False, use_intersection_cache=False``
--- the PR-2 behavior), plus process-pool batch throughput:
-
-* ``intersection_chain`` -- a many-example Ls fold over extraction-style
-  tasks (outputs assembled from input fields that occur more than once):
-  substr atoms dominate every edge, so the interned position-set memo
-  collapses the O(edges x partners) pairwise work to one intersection per
-  distinct pair, and per-edge atom bucketing is done once instead of once
-  per partner,
-* ``relearn_stream`` -- the §3.2 interaction loop: re-synthesize after
-  every new example; the dag-level memo recognizes the repeated products
-  of earlier rounds (content-keyed, so it survives regeneration) where
-  the naive path re-intersects everything from scratch each round,
-* ``lazy_pruning`` -- a chain whose running structure needs many pieces
-  while fresh examples are short: the co-reachability length masks stop
-  atom work on pairs that cannot reach the accept pair,
 * ``batch_throughput`` -- ``run_batch`` at ``workers=4`` over benchsuite
   tasks: the persistent :class:`~repro.service.pool.WorkerPool` process
   lane vs ``executor="thread"`` and vs the plain sequential lane.
@@ -27,6 +10,11 @@ naive oracle (``use_lazy_intersection=False, use_intersection_cache=False``
   than sequential at all (``speedup_vs_sequential < 1.0`` -- the
   regression that motivated the persistent pool).
 
+The intersect hot paths themselves have one implementation each; their
+cost is measured end to end by perfbench's ``suite-learn`` workload
+(``python3 perfbench/run.py --workload suite-learn --trace 1`` also
+reports the position-set and dag memo hit ratios).
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_intersection.py                    # run + print
@@ -34,12 +22,11 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_intersection.py --quick \
         --check BENCH_intersection.json       # CI: fail on >2x regression
 
-``--check`` compares *speedups* (optimized vs naive on the same machine,
-same run), so the gate is stable across hardware; it fails when any
-benchmark's current speedup drops below ``baseline / --factor``.  The
-``batch_throughput`` row is additionally held to an absolute >= 2x floor
-on machines with at least 4 CPUs (the acceptance criterion of the PR),
-and skipped below 2 CPUs where process parallelism cannot win.
+``--check`` compares *speedups* (process lane vs thread lane on the same
+machine, same run), so the gate is stable across hardware; it fails when
+the current speedup drops below ``baseline / --factor``.  The row is
+additionally held to an absolute >= 2x floor on machines with at least
+4 CPUs, and skipped below 2 CPUs where process parallelism cannot win.
 """
 
 from __future__ import annotations
@@ -47,10 +34,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List
@@ -59,144 +44,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.api import Synthesizer
 from repro.benchsuite import all_benchmarks
-from repro.config import DEFAULT_CONFIG
-from repro.core.formalism import fold_structures, generate_structures
-from repro.syntactic.intersect import (
-    clear_dag_cache,
-    dag_cache_stats,
-    reset_dag_cache_stats,
-)
-from repro.syntactic.language import SyntacticLanguage
-from repro.syntactic.positions import (
-    clear_intersection_caches,
-    intersection_cache_stats,
-    reset_intersection_cache_stats,
-)
-
-OPTIMIZED = DEFAULT_CONFIG
-NAIVE = replace(
-    DEFAULT_CONFIG, use_lazy_intersection=False, use_intersection_cache=False
-)
-
-
-def _cold() -> None:
-    """Drop every cross-call intersection cache (cold-start timing)."""
-    clear_intersection_caches()
-    clear_dag_cache()
-
-
-# -- workloads ---------------------------------------------------------------
-def extraction_examples(count: int, fields: int = 6) -> List[tuple]:
-    """Extraction-style tasks: output fields recur in the input.
-
-    The shape of a log/ID line whose key fields appear more than once --
-    every output span is a substring of the input (often at two
-    occurrences), so edges carry several substr atoms with rich position
-    sets and the pairwise position work dominates the product.
-    """
-    rng = random.Random(7)
-    examples = []
-    for _ in range(count):
-        parts = [f"{rng.choice('abcdef')}{rng.randrange(10)}" for _ in range(fields)]
-        output = "-".join(parts)
-        examples.append(((output + " / " + output,), output))
-    return examples
-
-
-def template_examples(count: int) -> List[tuple]:
-    """Template tasks: outputs share a long constant skeleton."""
-    first = ["Ann", "Bob", "Cai", "Dee", "Eva", "Fay", "Gil", "Hal", "Ida", "Joy", "Kai", "Lou"]
-    last = ["Lee", "Kim", "Roy", "Fox", "Ash", "Oak", "Ivy", "Elm", "Rex", "Ude", "Noa", "Pim"]
-    subj = ["math", "bio", "art", "gym", "lab", "sci", "eng", "geo", "law", "med", "sea", "sky"]
-    return [
-        ((f"{f} {l}", s), f"Dear {f} {l}, welcome to the {s} course catalog")
-        for f, l, s in zip(first[:count], last[:count], subj[:count])
-    ]
-
-
-def many_piece_examples(count: int) -> List[tuple]:
-    """Many-piece outputs over a tiny alphabet (repeated single-char fields).
-
-    The running structure needs many concatenation pieces and the repeated
-    characters give the eager product spurious atom matches to chase; the
-    path-length co-reachability mask kills pairs that cannot fit the
-    remaining pieces.  The lazy guard's margin is deliberately modest --
-    it is a constant-time guard whose job is capping pathological
-    wandering, while the big chain wins come from the memo layers -- so
-    this row mostly pins "never slower".
-    """
-    rng = random.Random(11)
-    examples = []
-    for _ in range(count):
-        fields = [rng.choice("01") for _ in range(14)]
-        output = ",".join(fields)  # 14 single-char pieces + 13 separators
-        examples.append(((" ".join(fields),), output))
-    return examples
-
-
-def _fold_time(config, examples: List[tuple], repeats: int) -> float:
-    language = SyntacticLanguage(config)
-    adapter = language.adapter()
-    structures = generate_structures(adapter, examples)
-    best = float("inf")
-    for _ in range(repeats):
-        _cold()
-        started = time.perf_counter()
-        fold_structures(adapter, structures, structure_size=language.structure_size)
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def bench_intersection_chain(num_examples: int, repeats: int) -> Dict[str, float]:
-    examples = extraction_examples(num_examples)
-    naive_s = _fold_time(NAIVE, examples, repeats)
-    reset_intersection_cache_stats()
-    optimized_s = _fold_time(OPTIMIZED, examples, repeats)
-    stats = intersection_cache_stats()
-    return {
-        "naive_s": naive_s,
-        "optimized_s": optimized_s,
-        "speedup": naive_s / optimized_s,
-        "position_memo_hit_rate": round(stats["hit_rate"], 4),
-    }
-
-
-def bench_lazy_pruning(num_examples: int, repeats: int) -> Dict[str, float]:
-    examples = many_piece_examples(num_examples)
-    naive_s = _fold_time(NAIVE, examples, repeats)
-    lazy_only = replace(NAIVE, use_lazy_intersection=True)
-    optimized_s = _fold_time(lazy_only, examples, repeats)
-    return {
-        "naive_s": naive_s,
-        "optimized_s": optimized_s,
-        "speedup": naive_s / optimized_s,
-    }
-
-
-def _relearn_time(config, examples: List[tuple], repeats: int) -> float:
-    engine = Synthesizer(language="syntactic", config=config)
-    best = float("inf")
-    for _ in range(repeats):
-        _cold()
-        started = time.perf_counter()
-        for upto in range(2, len(examples) + 1):
-            engine.synthesize(examples[:upto], k=1)
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def bench_relearn_stream(num_examples: int, repeats: int) -> Dict[str, float]:
-    examples = template_examples(num_examples)
-    naive_s = _relearn_time(NAIVE, examples, repeats)
-    reset_dag_cache_stats()
-    optimized_s = _relearn_time(OPTIMIZED, examples, repeats)
-    stats = dag_cache_stats()
-    return {
-        "naive_s": naive_s,
-        "optimized_s": optimized_s,
-        "speedup": naive_s / optimized_s,
-        "dag_memo_hit_rate": round(stats["hit_rate"], 4),
-    }
 
 
 def bench_batch_throughput(
@@ -234,21 +81,7 @@ def bench_batch_throughput(
 def run_suite(quick: bool) -> Dict[str, Dict[str, float]]:
     # Sizes are identical in quick and full mode so --check can compare
     # every row against the committed baseline; quick only trims repeats.
-    repeats = 2 if quick else 3
     results: Dict[str, Dict[str, float]] = {}
-
-    name = "intersection_chain[examples=10]"
-    print(f"running {name} ...", flush=True)
-    results[name] = bench_intersection_chain(10, repeats)
-
-    name = "relearn_stream[examples=10]"
-    print(f"running {name} ...", flush=True)
-    results[name] = bench_relearn_stream(10, repeats)
-
-    name = "lazy_pruning[examples=10]"
-    print(f"running {name} ...", flush=True)
-    results[name] = bench_lazy_pruning(10, repeats)
-
     name = "batch_throughput[tasks=24,workers=4]"
     print(f"running {name} ...", flush=True)
     results[name] = bench_batch_throughput(24, workers=4, repeats=1 if quick else 2)
@@ -258,7 +91,7 @@ def run_suite(quick: bool) -> Dict[str, Dict[str, float]]:
 def render(results: Dict[str, Dict[str, float]]) -> List[str]:
     width = max(len(name) for name in results)
     lines = [
-        f"{'benchmark'.ljust(width)}  {'naive':>10}  {'optimized':>10}  {'speedup':>8}"
+        f"{'benchmark'.ljust(width)}  {'threads':>10}  {'processes':>10}  {'speedup':>8}"
     ]
     for name, row in results.items():
         lines.append(
@@ -278,43 +111,39 @@ def check_regression(
         if reference is None:
             print(f"note: {name} not in baseline, skipping")
             continue
-        if name.startswith("batch_throughput"):
-            cpus = int(row.get("cpus", 1))
-            if cpus < 2:
-                print(
-                    f"      skip  {name}: {cpus} CPU(s) -- process parallelism "
-                    f"cannot win here (speedup {row['speedup']:.1f}x, informational)"
-                )
-                continue
-            # Absolute sanity floor where parallelism is measurable: the
-            # process lane must never be slower than plain sequential on
-            # a >= 4 CPU runner (the pre-pool executor was, at 0.85x).
-            vs_seq = row.get("speedup_vs_sequential")
-            if cpus >= 4 and vs_seq is not None and vs_seq < 1.0:
-                print(
-                    f"REGRESSION  {name}: process batch ran {vs_seq:.2f}x "
-                    f"sequential on {cpus} CPUs (floor 1.0x)"
-                )
-                failures.append(f"{name} (vs sequential)")
-            # The acceptance floor where it is measurable: >= 2x vs threads
-            # on a 4-core machine -- divided by --factor like every other
-            # row, so one noisy-neighbor stall on a shared runner has the
-            # same 2x headroom instead of failing CI with no regression.
-            # Below 4 CPUs, gate on the baseline ratio only if the
-            # baseline itself was measured on >= 2 CPUs.
-            if cpus >= 4:
-                floor = 2.0 / factor
-            elif int(reference.get("cpus", 1)) >= 2:
-                floor = reference["speedup"] / factor
-            else:
-                print(
-                    f"      skip  {name}: baseline recorded on "
-                    f"{reference.get('cpus', 1)} CPU(s) (speedup "
-                    f"{row['speedup']:.1f}x, informational)"
-                )
-                continue
-        else:
+        cpus = int(row.get("cpus", 1))
+        if cpus < 2:
+            print(
+                f"      skip  {name}: {cpus} CPU(s) -- process parallelism "
+                f"cannot win here (speedup {row['speedup']:.1f}x, informational)"
+            )
+            continue
+        # Absolute sanity floor where parallelism is measurable: the
+        # process lane must never be slower than plain sequential on a
+        # >= 4 CPU runner (the pre-pool executor was, at 0.85x).
+        vs_seq = row.get("speedup_vs_sequential")
+        if cpus >= 4 and vs_seq is not None and vs_seq < 1.0:
+            print(
+                f"REGRESSION  {name}: process batch ran {vs_seq:.2f}x "
+                f"sequential on {cpus} CPUs (floor 1.0x)"
+            )
+            failures.append(f"{name} (vs sequential)")
+        # The acceptance floor where it is measurable: >= 2x vs threads on
+        # a 4-core machine -- divided by --factor, so one noisy-neighbor
+        # stall on a shared runner has 2x headroom instead of failing CI
+        # with no regression.  Below 4 CPUs, gate on the baseline ratio
+        # only if the baseline itself was measured on >= 2 CPUs.
+        if cpus >= 4:
+            floor = 2.0 / factor
+        elif int(reference.get("cpus", 1)) >= 2:
             floor = reference["speedup"] / factor
+        else:
+            print(
+                f"      skip  {name}: baseline recorded on "
+                f"{reference.get('cpus', 1)} CPU(s) (speedup "
+                f"{row['speedup']:.1f}x, informational)"
+            )
+            continue
         status = "ok" if row["speedup"] >= floor else "REGRESSION"
         print(
             f"{status:>10}  {name}: speedup {row['speedup']:.1f}x "
@@ -357,8 +186,8 @@ def main(argv: List[str] = None) -> int:
                 ),
                 "quick": args.quick,
                 "cpus": os.cpu_count() or 1,
-                "note": "speedups are machine-relative (same-run naive vs "
-                "optimized); refresh with: PYTHONPATH=src python "
+                "note": "speedups are machine-relative (same-run thread vs "
+                "process lane); refresh with: PYTHONPATH=src python "
                 "benchmarks/bench_intersection.py --out BENCH_intersection.json",
             },
             "results": results,

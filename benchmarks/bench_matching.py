@@ -91,9 +91,7 @@ def bench_exact_overhead(num_rows: int, queries: int, repeats: int) -> Dict[str,
             if value is None:
                 return ""
             conditions[key_column] = value
-        return table.lookup(
-            select.column, conditions, use_index=catalog.use_table_index
-        )
+        return table.lookup(select.column, conditions)
 
     def run_gated() -> float:
         started = time.perf_counter()

@@ -81,11 +81,9 @@ def main() -> None:
     print(f"  {'c6 c2 c5'!r:14} -> {served(('c6 c2 c5',))!r}")
 
     # Synthesis itself runs on indexed hot paths (catalog substring
-    # index, dag occurrence index, worklist pruning).  Each index can be
-    # switched back to its naive oracle via SynthesisConfig -- e.g.
-    # Synthesizer(catalog, config=DEFAULT_CONFIG.without_indexes()) or
-    # replace(DEFAULT_CONFIG, use_substring_index=False); results are
-    # identical either way, only the speed changes.
+    # index, dag occurrence index, worklist pruning, lazy cached
+    # intersection).  Each has one implementation; the committed goldens
+    # under tests/golden pin what they produce.
 
     # To keep this loop resident -- learned programs persisted by name,
     # repeated learns served from an LRU request cache, everything

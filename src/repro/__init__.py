@@ -109,7 +109,7 @@ from repro.matching import available_matchers, build_pipeline
 from repro.tables import Catalog, Table
 from repro.tables.background import background_catalog, background_table
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Catalog",

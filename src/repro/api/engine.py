@@ -171,22 +171,11 @@ class Synthesizer:
         config: SynthesisConfig = DEFAULT_CONFIG,
     ) -> None:
         self.language = resolve_backend_name(language)
-        if catalog is not None and catalog.storage_backed:
-            if background is not None or not config.use_storage_backend:
-                # The oracle path (and the background-merge path, which
-                # needs an in-memory union): lift the snapshot into plain
-                # resident structures and fall through to the usual logic.
-                catalog = catalog.materialize(
-                    use_table_index=config.use_table_index
-                )
-            elif catalog.use_table_index != config.use_table_index:
-                catalog = catalog.with_use_table_index(config.use_table_index)
-        if (
-            catalog is not None
-            and catalog.frozen
-            and background is None
-            and catalog.use_table_index == config.use_table_index
-        ):
+        if catalog is not None and catalog.storage_backed and background is not None:
+            # The background merge needs an in-memory union: lift the
+            # snapshot into plain resident structures first.
+            catalog = catalog.materialize()
+        if catalog is not None and catalog.frozen and background is None:
             # A frozen snapshot is immutable, so the engine can serve it
             # directly -- no defensive copy, and (crucially for the
             # registry's copy-on-write updates) its incrementally
@@ -197,14 +186,13 @@ class Synthesizer:
             if background is not None:
                 names = None if background == "all" else list(background)
                 merged = merged.merged_with(background_catalog(names))
-            merged.use_table_index = config.use_table_index
             self.catalog = merged
-        # Stamp the matcher spec onto the serving catalog (like
-        # use_table_index above).  The default exact spec is already every
-        # catalog's default, so this is a no-op on the default path; a
-        # non-default spec derives an O(1) frozen clone sharing all
-        # indexes (storage-backed catalogs materialize first -- the
-        # secondary matcher indexes are in-memory structures).
+        # Stamp the matcher spec onto the serving catalog.  The default
+        # exact spec is already every catalog's default, so this is a
+        # no-op on the default path; a non-default spec derives an O(1)
+        # frozen clone sharing all indexes (storage-backed catalogs
+        # materialize first -- the secondary matcher indexes are in-memory
+        # structures).
         spec = normalize_spec(config.matchers)
         if tuple(getattr(self.catalog, "matcher_spec", ("exact",))) != spec:
             self.catalog = self.catalog.with_matchers(spec)
@@ -227,13 +215,7 @@ class Synthesizer:
         return None
 
     def _wrap(self, expr: Expression, num_inputs: int) -> Program:
-        return Program(
-            expr,
-            self._program_catalog(),
-            self.language,
-            num_inputs,
-            use_compiled_fill=self.config.use_compiled_fill,
-        )
+        return Program(expr, self._program_catalog(), self.language, num_inputs)
 
     # ------------------------------------------------------------------
     def synthesize(self, task: TaskLike, k: int = 5) -> SynthesisResult:

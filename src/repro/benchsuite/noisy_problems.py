@@ -165,7 +165,6 @@ def evaluate_noisy(
             program.catalog.with_matchers(spec),
             program.language,
             program.num_inputs,
-            use_compiled_fill=False,  # approximate fills stay interpreted
         )
         misses = 0
         fixed = 0

@@ -66,6 +66,7 @@ from typing import List, Optional, Sequence
 
 from repro.api.engine import Synthesizer
 from repro.api.registry import available_backends
+from repro.config import MAX_K
 from repro.engine.program import Program
 from repro.exceptions import MissingColumnsError, MissingTablesError, ReproError
 from repro.tables.background import background_catalog
@@ -135,7 +136,8 @@ def build_learn_parser(prog: str = "repro learn") -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="K",
-        help="print the K best-ranked candidate programs with scores",
+        help="print the K best-ranked candidate programs with scores "
+        f"(at most {MAX_K})",
     )
     parser.add_argument(
         "--save",
@@ -477,6 +479,9 @@ def _cmd_learn(argv: Sequence[str], prog: str = "repro learn") -> int:
     args = build_learn_parser(prog=prog).parse_args(argv)
     try:
         from repro.config import DEFAULT_CONFIG
+
+        if args.top > MAX_K:
+            raise ReproError(f"--top must be at most {MAX_K}, got {args.top}")
 
         config = (
             DEFAULT_CONFIG.with_matchers(args.matchers)

@@ -73,51 +73,6 @@ class SynthesisConfig:
         include_ref_atoms: include whole-string node references ``e_t`` as
             atomic expressions (the `f_s := e_t` production); disabling is
             an ablation only.
-        use_substring_index: answer the §5.3 substring-overlap trigger with
-            the catalog's Aho-Corasick/q-gram index instead of pairwise
-            ``in`` scans over every untriggered entry.  False selects the
-            naive scan -- the equivalence oracle for the index.
-        use_occurrence_index: drive ``generate_dag``'s substring loop from a
-            per-source occurrence index instead of repeated ``str.find``
-            scans.  False selects the naive scan.
-        use_table_index: serve ``Table.find_rows``/``Table.lookup`` from the
-            per-column value -> rows inverted index instead of full row
-            scans.  False selects the naive scan.  ``Synthesizer`` and
-            ``SynthesisSession`` stamp this onto their catalog
-            (``Catalog.use_table_index``), which ``Select`` evaluation
-            consults at serve time.
-        use_worklist_pruning: compute the emptiness fixpoint of Intersect
-            with a dependency-driven worklist instead of repeated full-node
-            sweeps.  False selects the naive sweeps.
-        use_lazy_intersection: build the ``intersect_dags`` product with a
-            structural forward-BFS plus a co-reachability sweep *before*
-            any atom intersection is attempted, so atoms are only merged
-            on edges that can sit on a start→accept path.  False selects
-            the original eager product (atom intersection on every
-            forward-reachable edge) -- the equivalence oracle.
-        use_intersection_cache: serve ``intersect_position_sets`` from the
-            interned position-set memo (hit/miss/eviction stats via
-            ``repro.syntactic.positions.intersection_cache_stats``), so
-            recurring pairs across edges, examples and ``Synthesizer``
-            calls are intersected once.  False recomputes every pair --
-            the equivalence oracle.
-        use_storage_backend: serve a storage-backed catalog
-            (``repro.storage.StorageCatalog``) directly through its
-            backend -- rows, postings and substring queries answered
-            from the storage tier with a bounded hot cache.  False makes
-            ``Synthesizer`` *materialize* the catalog into plain
-            in-memory structures first -- the equivalence oracle for the
-            whole storage tier (tests/test_storage_equivalence.py).
-            No effect on catalogs that are not storage-backed.
-        use_compiled_fill: serve ``Program.fill``/``fill_aligned`` through
-            the compiled execution plan (``repro.engine.compile``:
-            pre-resolved lookup handles, fused Selects, precompiled
-            position closures, constant folding) instead of per-row AST
-            interpretation.  False selects the interpreter -- the
-            byte-for-byte equivalence oracle
-            (tests/test_compiled_fill_equivalence.py).  Programs that
-            cannot be compiled (plugin nodes, storage-backed catalogs)
-            fall back to the interpreter automatically.
         matchers: the value-matching strategies ``Select`` lookups and the
             lookup generator use, in priority order
             (``repro.matching.build_pipeline``).  The default
@@ -133,12 +88,10 @@ class SynthesisConfig:
             approximate hits flow into ``result.ambiguous``.
         weights: the ranking cost model.
 
-    The ``use_*_index``/``use_worklist_pruning``/``use_lazy_intersection``/
-    ``use_intersection_cache`` flags never change *what* is synthesized --
-    both paths are required to produce identical structures and results
-    (tests/test_indexing_equivalence.py,
-    tests/test_lazy_intersection_equivalence.py) -- only how fast; they
-    exist as equivalence oracles and for the perf benchmarks.
+    Every field changes *what* is synthesized.  Each hot path (substring
+    trigger, occurrence index, table indexes, worklist pruning, lazy
+    cached intersection, compiled fill) has exactly one implementation;
+    the committed goldens under ``tests/golden`` pin its outputs.
     """
 
     max_tokenseq_len: int = 1
@@ -147,14 +100,6 @@ class SynthesisConfig:
     min_overlap_len: int = 1
     relaxed_reachability: bool = True
     include_ref_atoms: bool = True
-    use_substring_index: bool = True
-    use_occurrence_index: bool = True
-    use_table_index: bool = True
-    use_worklist_pruning: bool = True
-    use_lazy_intersection: bool = True
-    use_intersection_cache: bool = True
-    use_storage_backend: bool = True
-    use_compiled_fill: bool = True
     matchers: Tuple[str, ...] = ("exact",)
     weights: RankingWeights = field(default_factory=RankingWeights)
 
@@ -186,20 +131,6 @@ class SynthesisConfig:
         import json
 
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-
-    def without_indexes(self) -> "SynthesisConfig":
-        """A copy running every hot path naively (the equivalence oracle)."""
-        return replace(
-            self,
-            use_substring_index=False,
-            use_occurrence_index=False,
-            use_table_index=False,
-            use_worklist_pruning=False,
-            use_lazy_intersection=False,
-            use_intersection_cache=False,
-            use_storage_backend=False,
-            use_compiled_fill=False,
-        )
 
 
 @dataclass(frozen=True)
@@ -238,6 +169,12 @@ class PoolConfig:
     job_timeout: Optional[float] = None
     start_method: Optional[str] = None
 
+
+#: Largest ``k`` (number of ranked candidates) accepted from outside
+#: input: the HTTP ``/learn`` body and ``repro learn --top``.  Extraction
+#: time and memory grow with k, so a single request must not be able to
+#: ask for an unbounded number of candidates.
+MAX_K = 100
 
 DEFAULT_CONFIG = SynthesisConfig()
 DEFAULT_POOL_CONFIG = PoolConfig()

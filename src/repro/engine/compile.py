@@ -34,11 +34,12 @@ via :func:`table_drift`) and refuses with
 re-schema'd or rewritten.
 
 Compilation is best-effort by design: anything the compiler does not
-understand -- plugin expression types, storage-backed catalogs, the
-``use_table_index=False`` oracle config, missing tables -- raises
+understand -- plugin expression types, storage-backed catalogs,
+approximate matcher specs, missing tables -- raises
 :class:`PlanCompileError`, and callers (``Program.fill_aligned``,
 ``SynthesisService``) fall back to the interpreted path, which stays
-the byte-for-byte oracle (``tests/test_compiled_fill_equivalence.py``).
+the byte-for-byte reference (``tests/test_compiled_fill_equivalence.py``
+and the committed goldens in ``tests/golden``).
 """
 
 from __future__ import annotations
@@ -595,20 +596,15 @@ def compile_program(program: "Any", catalog: Optional[Catalog] = None) -> Compil
     """Compile ``program`` against ``catalog`` (default: its own catalog).
 
     Raises :class:`PlanCompileError` when the program cannot be
-    specialized -- unknown tables/columns, storage-backed catalogs, the
-    ``use_table_index=False`` oracle config -- in which case callers run
-    the interpreter instead (same results, per-row dispatch cost).
+    specialized -- unknown tables/columns, storage-backed catalogs,
+    approximate matcher specs -- in which case callers run the
+    interpreter instead (same results, per-row dispatch cost).
     """
     bound = catalog if catalog is not None else program.catalog
     if bound is not None:
         if getattr(bound, "storage_backed", False):
             raise PlanCompileError(
                 "storage-backed catalogs serve through their backend; "
-                "fills stay interpreted"
-            )
-        if not getattr(bound, "use_table_index", True):
-            raise PlanCompileError(
-                "use_table_index=False is the naive-path oracle config; "
                 "fills stay interpreted"
             )
         if tuple(getattr(bound, "matcher_spec", ("exact",))) != ("exact",):

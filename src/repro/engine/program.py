@@ -6,7 +6,6 @@ import hashlib
 import json
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.config import DEFAULT_CONFIG
 from repro.core.base import Expression, InputState
 from repro.exceptions import SerializationError
 from repro.tables.catalog import Catalog
@@ -47,21 +46,11 @@ class Program:
         catalog: Optional[Catalog],
         language: str,
         num_inputs: int,
-        use_compiled_fill: Optional[bool] = None,
     ) -> None:
         self.expr = expr
         self.catalog = catalog
         self.language = language
         self.num_inputs = num_inputs
-        #: Serve bulk fills through the compiled execution plan
-        #: (``repro.engine.compile``).  Stamped from
-        #: ``SynthesisConfig.use_compiled_fill`` by the synthesizer;
-        #: False keeps every fill on the interpreted path (the oracle).
-        self.use_compiled_fill: bool = (
-            DEFAULT_CONFIG.use_compiled_fill
-            if use_compiled_fill is None
-            else use_compiled_fill
-        )
         # (catalog fingerprint, CompiledProgram | _COMPILE_FAILED).
         self._compiled: Optional[Tuple[Optional[str], Any]] = None
         self._digest: Optional[str] = None
@@ -81,10 +70,9 @@ class Program:
     def fill(self, rows: Sequence[Sequence[str]]) -> List[Optional[str]]:
         """Run on many rows (the add-in's 'Apply' button over a column).
 
-        Served from the compiled execution plan when
-        :attr:`use_compiled_fill` is on and the program compiles
-        (byte-identical outputs; see ``repro.engine.compile``);
-        :meth:`fill_interpreted` is the unconditioned oracle.
+        Served from the compiled execution plan when the program compiles
+        (byte-identical outputs; see ``repro.engine.compile``), else by
+        :meth:`fill_interpreted`.
         """
         plan = self._compiled_or_none()
         if plan is not None:
@@ -92,7 +80,8 @@ class Program:
         return self.fill_interpreted(rows)
 
     def fill_interpreted(self, rows: Sequence[Sequence[str]]) -> List[Optional[str]]:
-        """:meth:`fill` on the per-row AST interpreter (the oracle path)."""
+        """:meth:`fill` on the per-row AST interpreter (the reference
+        semantics, and the fallback when a plan cannot compile)."""
         return [self.run(row) for row in rows]
 
     def fill_aligned(self, rows: Sequence[Sequence[str]]) -> List[Optional[str]]:
@@ -104,8 +93,8 @@ class Program:
         ``None``, and an arity mismatch raises ``ValueError`` prefixed
         with the 1-based row number (``fill row N: ...``).
 
-        Routed through the compiled plan exactly like :meth:`fill`;
-        :meth:`fill_aligned_interpreted` is the oracle.
+        Routed through the compiled plan exactly like :meth:`fill`, else
+        through :meth:`fill_aligned_interpreted`.
         """
         plan = self._compiled_or_none()
         if plan is not None:
@@ -115,7 +104,7 @@ class Program:
     def fill_aligned_interpreted(
         self, rows: Sequence[Sequence[str]]
     ) -> List[Optional[str]]:
-        """:meth:`fill_aligned` on the AST interpreter (the oracle path)."""
+        """:meth:`fill_aligned` on the AST interpreter."""
         return list(self.fill_iter_interpreted(rows))
 
     def fill_iter(
@@ -136,7 +125,7 @@ class Program:
     def fill_iter_interpreted(
         self, rows: Iterable[Sequence[str]], start: int = 1
     ) -> Iterator[Optional[str]]:
-        """:meth:`fill_iter` on the AST interpreter (the oracle path)."""
+        """:meth:`fill_iter` on the AST interpreter."""
         for index, row in enumerate(rows, start=start):
             cells = tuple(row)
             if not cells:
@@ -162,14 +151,12 @@ class Program:
 
     def _compiled_or_none(self):
         """The cached compiled plan for the *current* catalog state, or
-        ``None`` when the flag is off or compilation failed.
+        ``None`` when compilation failed.
 
         Keyed by the catalog fingerprint, so a program whose (mutable)
         catalog grew re-compiles transparently -- the compiled path must
         see exactly the data the interpreter would.
         """
-        if not self.use_compiled_fill:
-            return None
         fingerprint = (
             self.catalog.fingerprint() if self.catalog is not None else None
         )

@@ -73,7 +73,6 @@ class SynthesisSession:
         if background is not None:
             names = None if background == "all" else list(background)
             merged = merged.merged_with(background_catalog(names))
-        merged.use_table_index = config.use_table_index
         self.catalog = merged
         self.language_name = resolve_backend_name(language)
         self.config = config
@@ -162,11 +161,7 @@ class SynthesisSession:
         if expr is None:
             raise SynthesisError("the version space is empty")
         return Program(
-            expr,
-            self._program_catalog(),
-            self.language_name,
-            self.num_inputs or 0,
-            use_compiled_fill=self.config.use_compiled_fill,
+            expr, self._program_catalog(), self.language_name, self.num_inputs or 0
         )
 
     def consistent_programs(self, limit: int = 25) -> List[Program]:
@@ -186,13 +181,7 @@ class SynthesisSession:
                 return
             seen.add(key)
             programs.append(
-                Program(
-                    expr,
-                    catalog,
-                    self.language_name,
-                    self.num_inputs or 0,
-                    use_compiled_fill=self.config.use_compiled_fill,
-                )
+                Program(expr, catalog, self.language_name, self.num_inputs or 0)
             )
 
         best = self._language.best_program(self.structure)

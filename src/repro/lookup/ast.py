@@ -71,9 +71,7 @@ class Select(Expression):
         # evaluate is the per-row hot path and the exact spec must stay
         # overhead-free.
         if not catalog.matchers_active:
-            return table.lookup(
-                self.column, conditions, use_index=catalog.use_table_index
-            )
+            return table.lookup(self.column, conditions)
         pipeline = catalog.matcher_pipeline()
         text, _confidence, _strategy = table.lookup_matched(
             self.column, conditions, pipeline, catalog.alias_groups()

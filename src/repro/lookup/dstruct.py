@@ -20,8 +20,8 @@ Intersect/measure code is shared.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.syntactic.dag import Dag
 
@@ -237,21 +237,28 @@ class NodeStore:
 
 
 def emptiness_fixpoint(
-    store: NodeStore, node_valid: Callable[[int, Set[int]], bool]
+    store: NodeStore, select_valid: Callable[[GenSelect, Set[int]], bool]
 ) -> Set[int]:
     """Dependency-driven least fixpoint of "node denotes an expression".
 
-    ``node_valid(node, valid)`` must be monotone in ``valid`` (more valid
-    dependencies can only make a node valid).  Instead of sweeping every
-    node until nothing changes -- O(nodes) sweeps of O(nodes) checks in
-    the worst case -- each node is rechecked only when one of the nodes
-    its predicates reference (``reference_edges``) becomes valid, so total
-    work is bounded by the number of dependency edges.
+    A :class:`VarEntry` makes a node valid outright; otherwise a node is
+    valid when ``select_valid(entry, valid)`` holds for one of its
+    selects.  ``select_valid`` must be monotone in ``valid`` (more valid
+    dependencies can only make a select valid).  Each node is rechecked
+    only when one of the nodes its predicates reference
+    (``reference_edges``) becomes valid, so total work is bounded by the
+    number of dependency edges.
 
-    Shared by ``Intersect_t`` and ``Intersect_u`` emptiness pruning; the
-    naive sweeps remain available behind ``use_worklist_pruning=False``
-    as the equivalence oracle.
+    Shared by ``Intersect_t`` and ``Intersect_u`` emptiness pruning; each
+    language supplies only its per-select check.
     """
+
+    def node_valid(node: int) -> bool:
+        return any(
+            isinstance(entry, GenSelect) and select_valid(entry, valid)
+            for entry in store.progs[node]
+        )
+
     valid: Set[int] = set()
     dependents: Dict[int, List[int]] = {}
     unresolved: List[int] = []
@@ -267,13 +274,57 @@ def emptiness_fixpoint(
     # Nodes needing no valid dependency (constant predicates, const-only
     # dag paths) seed the propagation alongside the variable nodes.
     for node in unresolved:
-        if node not in valid and node_valid(node, valid):
+        if node not in valid and node_valid(node):
             valid.add(node)
             queue.append(node)
     while queue:
         ready = queue.popleft()
         for node in dependents.get(ready, ()):
-            if node not in valid and node_valid(node, valid):
+            if node not in valid and node_valid(node):
                 valid.add(node)
                 queue.append(node)
     return valid
+
+
+def prune_entries(
+    store: NodeStore,
+    valid: Set[int],
+    rewrite: Callable[[GenPredicate], Optional[GenPredicate]],
+) -> None:
+    """Empty invalid nodes and rewrite the surviving selects in place.
+
+    ``rewrite`` returns a predicate's pruned form, or ``None`` when it can
+    no longer be satisfied.  A candidate key survives when every one of its
+    predicates does, a select when one of its keys does; variable entries
+    always survive.  Shared by ``Intersect_t`` and ``Intersect_u``.
+    """
+    for node in range(len(store.vals)):
+        if node not in valid:
+            store.progs[node] = []
+            continue
+        kept_entries: List[ProgEntry] = []
+        for entry in store.progs[node]:
+            if isinstance(entry, GenSelect):
+                kept_keys = []
+                for predicates in entry.cond.keys:
+                    kept = _rewrite_key(predicates, rewrite)
+                    if kept:
+                        kept_keys.append(kept)
+                if not kept_keys:
+                    continue
+                entry.cond = RowCondition(entry.cond.table, entry.cond.row, kept_keys)
+            kept_entries.append(entry)
+        store.progs[node] = kept_entries
+
+
+def _rewrite_key(
+    predicates: List[GenPredicate],
+    rewrite: Callable[[GenPredicate], Optional[GenPredicate]],
+) -> Optional[List[GenPredicate]]:
+    kept: List[GenPredicate] = []
+    for predicate in predicates:
+        pruned = rewrite(predicate)
+        if pruned is None:
+            return None
+        kept.append(pruned)
+    return kept

@@ -18,9 +18,8 @@ itself is empty).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.config import DEFAULT_CONFIG, SynthesisConfig
 from repro.lookup.dstruct import (
     GenPredicate,
     GenSelect,
@@ -28,14 +27,11 @@ from repro.lookup.dstruct import (
     RowCondition,
     VarEntry,
     emptiness_fixpoint,
+    prune_entries,
 )
 
 
-def intersect_lookup(
-    first: NodeStore,
-    second: NodeStore,
-    config: SynthesisConfig = DEFAULT_CONFIG,
-) -> Optional[NodeStore]:
+def intersect_lookup(first: NodeStore, second: NodeStore) -> Optional[NodeStore]:
     """The paper's Intersect_t; ``None`` when no common expression exists."""
     if first.target is None or second.target is None:
         return None
@@ -117,50 +113,7 @@ def intersect_lookup(
         return outcome
 
     result.target = intersect_nodes(first.target, second.target)
-    return prune_store(result, use_worklist=config.use_worklist_pruning)
-
-
-def valid_nodes_fixpoint(store: NodeStore, use_worklist: bool = True) -> Set[int]:
-    """Least fixpoint of "node denotes at least one concrete expression".
-
-    A VarEntry makes a node valid outright; a GenSelect is valid when some
-    candidate key has every predicate satisfiable given the current valid
-    set (constants always satisfy; node references need a valid node).
-    The default dependency-driven worklist rechecks a node only when a
-    referenced node becomes valid; ``use_worklist=False`` runs the
-    original repeated full-node sweeps (the equivalence oracle).
-    """
-    if not use_worklist:
-        return valid_nodes_fixpoint_naive(store)
-
-    def node_valid(node: int, valid: Set[int]) -> bool:
-        return any(
-            isinstance(entry, GenSelect) and _select_valid(entry, valid)
-            for entry in store.progs[node]
-        )
-
-    return emptiness_fixpoint(store, node_valid)
-
-
-def valid_nodes_fixpoint_naive(store: NodeStore) -> Set[int]:
-    """The original full-sweep fixpoint (kept as the worklist's oracle)."""
-    valid: Set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for node in range(len(store.vals)):
-            if node in valid:
-                continue
-            for entry in store.progs[node]:
-                if isinstance(entry, VarEntry):
-                    break
-                if _select_valid(entry, valid):
-                    break
-            else:
-                continue
-            valid.add(node)
-            changed = True
-    return valid
+    return prune_store(result)
 
 
 def _predicate_valid(predicate: GenPredicate, valid: Set[int]) -> bool:
@@ -176,13 +129,15 @@ def _predicate_valid(predicate: GenPredicate, valid: Set[int]) -> bool:
 
 
 def _select_valid(entry: GenSelect, valid: Set[int]) -> bool:
+    """Some candidate key has every predicate satisfiable given ``valid``
+    (constants always satisfy; node references need a valid node)."""
     for predicates in entry.cond.keys:
         if all(_predicate_valid(p, valid) for p in predicates):
             return True
     return False
 
 
-def prune_store(store: NodeStore, use_worklist: bool = True) -> Optional[NodeStore]:
+def prune_store(store: NodeStore) -> Optional[NodeStore]:
     """Drop empty nodes/entries/keys and restrict to the target component.
 
     Rewrites the store in place (conditions are rebuilt without invalid
@@ -190,40 +145,23 @@ def prune_store(store: NodeStore, use_worklist: bool = True) -> Optional[NodeSto
     """
     if store.target is None:
         return None
-    valid = valid_nodes_fixpoint(store, use_worklist=use_worklist)
+    valid = emptiness_fixpoint(store, _select_valid)
     if store.target not in valid:
         return None
-    for node in range(len(store.vals)):
-        if node not in valid:
-            store.progs[node] = []
-            continue
-        kept_entries: List = []
-        for entry in store.progs[node]:
-            if isinstance(entry, VarEntry):
-                kept_entries.append(entry)
-                continue
-            kept_keys: List[List[GenPredicate]] = []
-            for predicates in entry.cond.keys:
-                if not all(_predicate_valid(p, valid) for p in predicates):
-                    continue
-                kept_keys.append(
-                    [
-                        GenPredicate(
-                            p.column,
-                            constant=p.constant,
-                            node=p.node if p.node in valid else None,
-                            dag=p.dag,
-                            node_strategy=p.node_strategy,
-                            node_confidence=p.node_confidence,
-                        )
-                        for p in predicates
-                    ]
-                )
-            if kept_keys:
-                entry.cond = RowCondition(entry.cond.table, entry.cond.row, kept_keys)
-                kept_entries.append(entry)
-        store.progs[node] = kept_entries
 
+    def rewrite(p: GenPredicate) -> Optional[GenPredicate]:
+        if not _predicate_valid(p, valid):
+            return None
+        return GenPredicate(
+            p.column,
+            constant=p.constant,
+            node=p.node if p.node in valid else None,
+            dag=p.dag,
+            node_strategy=p.node_strategy,
+            node_confidence=p.node_confidence,
+        )
+
+    prune_entries(store, valid, rewrite)
     # Restrict to the target component: dropping invalid keys can strand
     # valid nodes no surviving predicate references.
     store.restrict_to([store.target])

@@ -39,7 +39,7 @@ class LookupLanguage:
     def intersect(
         self, first: NodeStore, second: NodeStore
     ) -> Optional[NodeStore]:
-        return intersect_lookup(first, second, self.config)
+        return intersect_lookup(first, second)
 
     def is_empty(self, store: NodeStore) -> bool:
         return store.target is None

@@ -20,7 +20,7 @@ string, preserving the paper's sharing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.config import DEFAULT_CONFIG, SynthesisConfig
 from repro.core.base import InputState
@@ -37,17 +37,6 @@ from repro.syntactic.generate import generate_dag
 from repro.tables.catalog import Catalog
 
 RowKey = Tuple[str, int]
-
-
-def _overlaps(entry_value: str, reachable: str, min_len: int) -> bool:
-    """The §5.3 trigger: equality or substring containment either way."""
-    if entry_value == reachable:
-        return True
-    if len(entry_value) >= min_len and entry_value in reachable:
-        return True
-    if len(reachable) >= min_len and reachable in entry_value:
-        return True
-    return False
 
 
 def generate_semantic(
@@ -71,55 +60,34 @@ def generate_semantic(
             frontier.append(node)
         store.progs[node].append(VarEntry(index))
 
-    # Phase 1: relaxed reachability.  ``untriggered`` tracks entry values
-    # not yet matched; each step tests them against the new frontier only.
-    # Both trigger paths emit newly triggered values in catalog insertion
-    # order -- iterating a *set* here once made node ids (and ranking
-    # tie-breaks) depend on PYTHONHASHSEED.
+    # Phase 1: relaxed reachability.  ``untriggered_ids`` tracks the
+    # catalog's distinct values not yet matched; each step tests the new
+    # frontier only, through the substring index.  Newly triggered values
+    # are emitted in catalog insertion order -- iterating a *set* here once
+    # made node ids (and ranking tie-breaks) depend on PYTHONHASHSEED.
     matched_columns: Dict[RowKey, Set[str]] = {}
     attached: Set[Tuple[str, str, int]] = set()
     pending_selects: List[Tuple[int, str, str, int]] = []
-    use_index = config.use_substring_index
-    if use_index:
-        index = catalog.substring_index()
-        untriggered_ids: Set[int] = set(range(len(index)))
-    else:
-        # Insertion-ordered dict-as-set: deletion keeps the stable order.
-        untriggered: Dict[str, None] = {
-            value: None for value in catalog.distinct_values() if value
-        }
+    index = catalog.substring_index()
+    untriggered_ids: Set[int] = set(range(len(index)))
 
     step = 0
     while frontier and step < depth_bound and len(store) < config.max_reachable_nodes:
         step += 1
         frontier_values = [store.vals[node] for node in frontier if store.vals[node]]
-        newly_triggered: List[str] = []
-        if use_index:
-            triggered_ids: Set[int] = set()
-            for reachable in frontier_values:
-                if config.relaxed_reachability:
-                    hits = index.overlapping(reachable, config.min_overlap_len)
-                else:
-                    equal = index.id_of(reachable)
-                    hits = () if equal is None else (equal,)
-                for value_id in hits:
-                    if value_id in untriggered_ids:
-                        triggered_ids.add(value_id)
-            untriggered_ids.difference_update(triggered_ids)
-            # Sorted ids = catalog insertion order, matching the naive scan.
-            newly_triggered = [index.values[i] for i in sorted(triggered_ids)]
-        else:
-            for entry_value in untriggered:
-                for reachable in frontier_values:
-                    if config.relaxed_reachability:
-                        hit = _overlaps(entry_value, reachable, config.min_overlap_len)
-                    else:
-                        hit = entry_value == reachable
-                    if hit:
-                        newly_triggered.append(entry_value)
-                        break
-            for entry_value in newly_triggered:
-                del untriggered[entry_value]
+        triggered_ids: Set[int] = set()
+        for reachable in frontier_values:
+            if config.relaxed_reachability:
+                hits = index.overlapping(reachable, config.min_overlap_len)
+            else:
+                equal = index.id_of(reachable)
+                hits = () if equal is None else (equal,)
+            for value_id in hits:
+                if value_id in untriggered_ids:
+                    triggered_ids.add(value_id)
+        untriggered_ids.difference_update(triggered_ids)
+        # Sorted ids = catalog insertion order.
+        newly_triggered = [index.values[i] for i in sorted(triggered_ids)]
 
         affected_rows: List[RowKey] = []
         for entry_value in newly_triggered:

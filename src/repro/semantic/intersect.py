@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.config import DEFAULT_CONFIG, SynthesisConfig
 from repro.lookup.dstruct import (
     GenPredicate,
     GenSelect,
@@ -28,16 +27,15 @@ from repro.lookup.dstruct import (
     RowCondition,
     VarEntry,
     emptiness_fixpoint,
+    prune_entries,
 )
 from repro.semantic.dstruct import SemanticStructure
-from repro.syntactic.dag import Atom, ConstAtom, Dag, RefAtom, SubStrAtom
+from repro.syntactic.dag import Atom, ConstAtom, Dag
 from repro.syntactic.intersect import intersect_dags
 
 
 def intersect_semantic(
-    first: SemanticStructure,
-    second: SemanticStructure,
-    config: SynthesisConfig = DEFAULT_CONFIG,
+    first: SemanticStructure, second: SemanticStructure
 ) -> Optional[SemanticStructure]:
     """The paper's Intersect_u; ``None`` when no common program exists."""
     result = NodeStore(
@@ -62,13 +60,7 @@ def intersect_semantic(
         key = (id(d1), id(d2))
         if key in dag_memo:
             return dag_memo[key]
-        merged = intersect_dags(
-            d1,
-            d2,
-            merge_source,
-            lazy=config.use_lazy_intersection,
-            use_cache=config.use_intersection_cache,
-        )
+        merged = intersect_dags(d1, d2, merge_source)
         dag_memo[key] = merged
         return merged
 
@@ -101,13 +93,7 @@ def intersect_semantic(
 
     # Top-level dag product seeds the worklist with the node pairs its
     # surviving atoms reference.
-    top_dag = intersect_dags(
-        first.dag,
-        second.dag,
-        merge_source,
-        lazy=config.use_lazy_intersection,
-        use_cache=config.use_intersection_cache,
-    )
+    top_dag = intersect_dags(first.dag, second.dag, merge_source)
     if top_dag is None:
         return None
 
@@ -132,7 +118,7 @@ def intersect_semantic(
         result.progs[node] = entries
 
     structure = SemanticStructure(store=result, dag=top_dag)
-    return prune_semantic(structure, config)
+    return prune_semantic(structure)
 
 
 # ----------------------------------------------------------------------
@@ -178,100 +164,34 @@ def _select_valid(entry: GenSelect, valid: Set[int]) -> bool:
     return False
 
 
-def valid_nodes_fixpoint(store: NodeStore, use_worklist: bool = True) -> Set[int]:
-    """Least fixpoint of "node denotes at least one concrete expression".
-
-    The default dependency-driven worklist rechecks a node only when one
-    of its referenced nodes becomes valid; ``use_worklist=False`` runs the
-    original repeated full-node sweeps (the equivalence oracle).
-    """
-    if not use_worklist:
-        return valid_nodes_fixpoint_naive(store)
-
-    def node_valid(node: int, valid: Set[int]) -> bool:
-        return any(
-            isinstance(entry, GenSelect) and _select_valid(entry, valid)
-            for entry in store.progs[node]
-        )
-
-    return emptiness_fixpoint(store, node_valid)
-
-
-def valid_nodes_fixpoint_naive(store: NodeStore) -> Set[int]:
-    """The original full-sweep fixpoint (kept as the worklist's oracle)."""
-    valid: Set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for node in range(len(store.vals)):
-            if node in valid:
-                continue
-            for entry in store.progs[node]:
-                if isinstance(entry, VarEntry) or _select_valid(entry, valid):
-                    valid.add(node)
-                    changed = True
-                    break
-    return valid
-
-
-def prune_semantic(
-    structure: SemanticStructure, config: SynthesisConfig = DEFAULT_CONFIG
-) -> Optional[SemanticStructure]:
+def prune_semantic(structure: SemanticStructure) -> Optional[SemanticStructure]:
     """Rewrite Du dropping everything empty; ``None`` if no program remains."""
     store = structure.store
-    valid = valid_nodes_fixpoint(store, use_worklist=config.use_worklist_pruning)
+    valid = emptiness_fixpoint(store, _select_valid)
 
     def atom_alive(atom: Atom) -> bool:
         return _atom_valid(atom, valid)
 
     pruned_dag_memo: Dict[int, Optional[Dag]] = {}
 
-    def prune_dag(dag: Dag) -> Optional[Dag]:
-        key = id(dag)
-        if key in pruned_dag_memo:
-            return pruned_dag_memo[key]
-        pruned = dag.pruned(atom_alive)
-        pruned_dag_memo[key] = pruned
-        return pruned
+    def rewrite(predicate: GenPredicate) -> Optional[GenPredicate]:
+        if predicate.dag is None:
+            return None
+        key = id(predicate.dag)
+        if key not in pruned_dag_memo:
+            pruned_dag_memo[key] = predicate.dag.pruned(atom_alive)
+        pruned = pruned_dag_memo[key]
+        return None if pruned is None else GenPredicate(predicate.column, dag=pruned)
 
-    for node in range(len(store.vals)):
-        if node not in valid:
-            store.progs[node] = []
-            continue
-        kept_entries: List = []
-        for entry in store.progs[node]:
-            if isinstance(entry, VarEntry):
-                kept_entries.append(entry)
-                continue
-            kept_keys: List[List[GenPredicate]] = []
-            for predicates in entry.cond.keys:
-                new_predicates: List[GenPredicate] = []
-                ok = True
-                for predicate in predicates:
-                    pruned = (
-                        prune_dag(predicate.dag) if predicate.dag is not None else None
-                    )
-                    if pruned is None:
-                        ok = False
-                        break
-                    new_predicates.append(GenPredicate(predicate.column, dag=pruned))
-                if ok and new_predicates:
-                    kept_keys.append(new_predicates)
-            if kept_keys:
-                entry.cond = RowCondition(entry.cond.table, entry.cond.row, kept_keys)
-                kept_entries.append(entry)
-        store.progs[node] = kept_entries
-
+    prune_entries(store, valid, rewrite)
     top = structure.dag.pruned(atom_alive)
     if top is None:
         return None
 
     # Garbage-collect nodes unreachable from the surviving top dag: the
-    # eager product allocates nodes for edges that never make it onto a
-    # start→accept path (the lazy product skips them up front), and the
     # validity rewrite can strand valid nodes whose only referents were
-    # dropped.  Emptying them makes the structure identical under both
-    # product strategies.
+    # dropped, and emptying them keeps the structure a property of the
+    # denoted program set rather than of construction order.
     roots = {
         atom.source
         for options in top.edges.values()

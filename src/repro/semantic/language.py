@@ -39,7 +39,7 @@ class SemanticLanguage:
     def intersect(
         self, first: SemanticStructure, second: SemanticStructure
     ) -> Optional[SemanticStructure]:
-        return intersect_semantic(first, second, self.config)
+        return intersect_semantic(first, second)
 
     def is_empty(self, structure: SemanticStructure) -> bool:
         return not structure.has_program()

@@ -66,6 +66,7 @@ import urllib.parse
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import __version__
+from repro.config import MAX_K
 from repro.exceptions import (
     ChangefeedRangeError,
     DuplicateTableError,
@@ -654,8 +655,8 @@ class ServiceApi:
         body = _json_body(read_body)
         examples = _parse_examples(_require(body, "examples"))
         k = body.get("k", 1)
-        if not isinstance(k, int) or k < 1:
-            raise BadRequest("k must be a positive integer")
+        if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= MAX_K:
+            raise BadRequest(f"k must be an integer from 1 to {MAX_K}")
         save_as = body.get("save")
         if save_as is not None and not isinstance(save_as, str):
             raise BadRequest("save must be a program name string")

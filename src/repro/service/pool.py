@@ -160,10 +160,6 @@ def _worker_main(
                     program = Program.from_dict(
                         job["program"], catalog=engine.catalog
                     )
-                    # Stamp the pool's config flag so the worker serves
-                    # fills from its compiled plan exactly when the
-                    # parent would (byte-identical either way).
-                    program.use_compiled_fill = config.use_compiled_fill
                     reply["payload"] = program.fill_aligned(job["rows"])
         except BaseException as error:  # noqa: BLE001 -- relayed to the parent
             reply = {"ok": False, "pid": pid, "error": _picklable_error(error)}

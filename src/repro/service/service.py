@@ -256,9 +256,10 @@ class SynthesisService:
         self.started_at = time.time()
         # name -> (registry snapshot the engine was built for, engine).
         # Keyed on the *snapshot* identity, not engine.catalog: with
-        # configs the engine cannot share a frozen snapshot with (e.g.
-        # use_table_index=False, the oracle), engine.catalog is a copy
-        # and comparing it would rebuild the engine on every request.
+        # configs the engine cannot share a frozen snapshot with (e.g. a
+        # non-default ``matchers`` spec, which derives a matcher clone),
+        # engine.catalog is a copy and comparing it would rebuild the
+        # engine on every request.
         self._engines: Dict[str, Tuple[Catalog, Synthesizer]] = {}
         # (name, matcher spec) -> (snapshot, engine) for requests that
         # override the service config's matchers (``/learn`` with a
@@ -756,11 +757,7 @@ class SynthesisService:
                 # the live program to the requested snapshot instead of
                 # silently running against whatever it was learned on.
                 resolved = Program(
-                    resolved.expr,
-                    snapshot,
-                    resolved.language,
-                    resolved.num_inputs,
-                    use_compiled_fill=resolved.use_compiled_fill,
+                    resolved.expr, snapshot, resolved.language, resolved.num_inputs
                 )
         elif isinstance(program, dict):
             resolved = Program.from_dict(program, catalog=snapshot)
@@ -797,18 +794,15 @@ class SynthesisService:
     def _compiled_for(self, resolved: Program):
         """The shared compiled plan for ``resolved``, or ``None``.
 
-        ``None`` means serve the interpreter: the config flag is off, or
-        this (program, catalog snapshot) pair does not compile (cached
-        as :data:`_UNCOMPILED` so the failed attempt is paid once, not
-        per request).  Plans are cached in :attr:`plans` keyed
+        ``None`` means serve the interpreter: this (program, catalog
+        snapshot) pair does not compile (cached as :data:`_UNCOMPILED` so
+        the failed attempt is paid once, not per request).  Plans are cached in :attr:`plans` keyed
         ``(program digest, catalog fingerprint)`` -- both stable content
         digests, so every transport (JSON fill, streaming fill, session
         apply) resolving the same program against the same snapshot
         shares one plan, and a catalog update makes old entries
         unreachable rather than stale.
         """
-        if not self.config.use_compiled_fill:
-            return None
         fingerprint = (
             resolved.catalog.fingerprint()
             if resolved.catalog is not None
@@ -853,7 +847,6 @@ class SynthesisService:
             resolved.catalog.with_matchers(spec),
             resolved.language,
             resolved.num_inputs,
-            use_compiled_fill=resolved.use_compiled_fill,
         )
 
     def fill(

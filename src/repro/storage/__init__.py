@@ -22,8 +22,8 @@ pluggable durable backend:
   :class:`Catalog` / :class:`Table` subclasses serving every query
   through a snapshot, so the synthesis engine runs unchanged over
   either backend.  ``materialize()`` lifts a snapshot back into a plain
-  in-memory catalog -- the equivalence oracle for the whole tier
-  (``SynthesisConfig.use_storage_backend``).
+  in-memory catalog (for background merges, and the reference the
+  storage tests compare against).
 * :mod:`repro.storage.snapshot` -- versioned persistent index
   snapshots for in-memory catalogs (content-addressed blobs, atomic
   manifests, checksum-verified loads) giving ``repro serve`` an O(1)

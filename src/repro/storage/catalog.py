@@ -5,14 +5,14 @@ The synthesis engine consumes the :class:`~repro.tables.catalog.Catalog`
 that interface onto a :class:`~repro.storage.backend.StorageSnapshot`
 so the engine runs unchanged over any backend.  The discipline is
 strict *subsetting*: a :class:`StorageTable` inherits every derived
-method (``cell``, ``lookup``, ``column_values``, ``find_rows_naive``,
-fingerprints) from ``Table`` and overrides only the primitives --
+method (``cell``, ``lookup``, ``column_values``, fingerprints) from
+``Table`` and overrides only the primitives --
 ``rows`` becomes a lazy :class:`_RowView`, ``value_rows`` /
 ``find_rows`` / ``row_by_key`` go through snapshot postings.  Answers
 are byte-identical to the in-memory structures by the snapshot
 contract, and :meth:`StorageCatalog.materialize` lifts any snapshot
-back into a plain in-memory catalog -- the equivalence oracle the
-storage tests compare against.
+back into a plain in-memory catalog -- for the engine's background
+merge, and as the reference the storage tests compare against.
 
 Storage-backed catalogs are always frozen; growth goes through the
 backend (:meth:`StorageCatalog.with_rows` / ``with_table``) which makes
@@ -22,7 +22,7 @@ it *durable*, unlike the purely derivational in-memory copy-on-write.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import (
     KeyConstraintError,
@@ -117,11 +117,7 @@ class StorageTable(Table):
         position = self.column_position(column)  # raises UnknownColumnError
         return self._snapshot.value_rows(self._meta.position, position, value)
 
-    def find_rows(
-        self, conditions: Dict[str, str], use_index: bool = True
-    ) -> List[int]:
-        if not use_index:
-            return self.find_rows_naive(conditions)
+    def find_rows(self, conditions: Dict[str, str]) -> List[int]:
         for column in conditions:
             self.column_position(column)
         if not conditions:
@@ -183,10 +179,7 @@ class StorageCatalog(Catalog):
     storage_backed = True
 
     def __init__(
-        self,
-        backend: StorageBackend,
-        snapshot: Optional[StorageSnapshot] = None,
-        use_table_index: bool = True,
+        self, backend: StorageBackend, snapshot: Optional[StorageSnapshot] = None
     ) -> None:
         # No super().__init__: no in-memory indexes to build.
         self._backend = backend
@@ -195,7 +188,6 @@ class StorageCatalog(Catalog):
         self._order = [m.name for m in self._snapshot.tables]
         self._tables: Dict[str, StorageTable] = {}
         self._frozen = True
-        self.use_table_index = use_table_index
 
     # -- structure ------------------------------------------------------
     @property
@@ -248,13 +240,13 @@ class StorageCatalog(Catalog):
         new_head = self._backend.append_rows(table_name, list(rows))
         if new_head.generation == self._snapshot.generation:
             return self  # zero-row append: nothing changed
-        return StorageCatalog(self._backend, new_head, self.use_table_index)
+        return StorageCatalog(self._backend, new_head)
 
     def with_table(self, table: Table) -> "StorageCatalog":
         old_meta = self._meta.get(table.name)
         if old_meta is None:
             new_head = self._backend.add_table(table)
-            return StorageCatalog(self._backend, new_head, self.use_table_index)
+            return StorageCatalog(self._backend, new_head)
         old = self.table(table.name)
         extends = (
             table.columns == old.columns
@@ -271,25 +263,15 @@ class StorageCatalog(Catalog):
             )
         return self.with_rows(table.name, table.rows[old.num_rows :])
 
-    def with_use_table_index(self, use_table_index: bool) -> "StorageCatalog":
-        if use_table_index == self.use_table_index:
-            return self
-        return StorageCatalog(self._backend, self._snapshot, use_table_index)
-
-    # -- oracle ---------------------------------------------------------
-    def materialize(self, use_table_index: Optional[bool] = None) -> Catalog:
+    # -- materialization ------------------------------------------------
+    def materialize(self) -> Catalog:
         """This snapshot lifted into a plain, fully resident ``Catalog``.
 
-        The equivalence oracle: every storage test compares backend
-        answers against the materialized catalog's, and the engine falls
-        back to it when ``use_storage_backend`` is off or a background
-        catalog must be merged in.
+        The engine falls back to it when a background catalog must be
+        merged in, and the storage tests compare backend answers against
+        it.
         """
-        catalog = Catalog(table.materialize() for table in self.tables())
-        catalog.use_table_index = (
-            self.use_table_index if use_table_index is None else use_table_index
-        )
-        return catalog.freeze()
+        return Catalog(table.materialize() for table in self.tables()).freeze()
 
     def storage_stats(self) -> Optional[Dict[str, object]]:
         """Hot-tier residency of the backing store (``None`` if resident)."""

@@ -480,7 +480,6 @@ def _reconstruct(objects: Path, manifest: Dict) -> Catalog:
     catalog._distinct_cache = tuple(derived["distinct"])
     catalog._fingerprint = manifest["fingerprint"]
     catalog._frozen = True
-    catalog.use_table_index = True
 
     index: _LazySubstringIndex = _LazySubstringIndex.__new__(
         _LazySubstringIndex

@@ -39,7 +39,7 @@ renumbers); stored ``val.id`` is insertion order and immutable.  A
 snapshot exposes *ranks* -- scan-order positions at its generation,
 derived from the ``firstocc`` history -- as its ids, with an identity
 fast path when no value ever moved, keeping query results
-byte-identical to the in-memory oracle.
+byte-identical to the in-memory structures.
 """
 
 from __future__ import annotations
@@ -660,11 +660,10 @@ class SQLiteSnapshot(StorageSnapshot):
         return tuple(found)
 
     def distinct_values(self) -> Tuple[str, ...]:
-        """First-seen scan order over every cell -- the oracle path.
+        """First-seen scan order over every cell.
 
-        O(total cells) and materialized on the snapshot: only the naive
-        (``use_substring_index=False``) trigger and ``materialize()``
-        walk this; the indexed path goes through ranked value ids.
+        O(total cells) and materialized on the snapshot; the substring
+        trigger does not walk it -- it goes through ranked value ids.
         """
         if self._distinct is None:
             seen: Dict[str, None] = {}

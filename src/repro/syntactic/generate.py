@@ -29,7 +29,7 @@ Source = Tuple[int, str]  # (source id, source value)
 
 #: Occurrence index: ``index[i][L]`` lists ``(source_id, start)`` for every
 #: occurrence ``value[start:start+L] == output[i:i+L]``, in source order
-#: then ascending start -- the exact order the naive find-loop emits.
+#: then ascending start.
 OccurrenceIndex = List[Dict[int, List[Tuple[int, int]]]]
 
 
@@ -73,51 +73,18 @@ def generate_dag(
     output: str,
     config: SynthesisConfig = DEFAULT_CONFIG,
 ) -> Dag:
-    """The Dag of all concatenations of atomic expressions yielding ``output``."""
+    """The Dag of all concatenations of atomic expressions yielding ``output``.
+
+    Each edge (i, j) reads its occurrences from the occurrence index with
+    one dict access; a whole-source occurrence (start 0, full length)
+    doubles as the RefAtom trigger, so every edge lists its constant, then
+    per source and ascending start the RefAtom (if any) and the SubStr.
+    """
     length = len(output)
     if length == 0:
         # Degenerate case: the empty output is representable only by the
         # empty concatenation (treated as ConstStr("") downstream).
         return Dag((0,), 0, 0, {})
-    if config.use_occurrence_index:
-        return _generate_dag_indexed(sources, output, config)
-    max_seq = config.max_tokenseq_len
-    edges: Dict[Edge, List[Atom]] = {}
-    for i in range(length):
-        for j in range(i + 1, length + 1):
-            substring = output[i:j]
-            atoms: List[Atom] = [ConstAtom(substring)]
-            for source_id, value in sources:
-                if not value:
-                    continue
-                if config.include_ref_atoms and value == substring:
-                    atoms.append(RefAtom(source_id))
-                if len(value) >= len(substring):
-                    start = value.find(substring)
-                    while start != -1:
-                        atoms.append(
-                            SubStrAtom(
-                                source_id,
-                                cached_positions(value, start, max_seq),
-                                cached_positions(value, start + len(substring), max_seq),
-                            )
-                        )
-                        start = value.find(substring, start + 1)
-            edges[(i, j)] = atoms
-    return Dag(tuple(range(length + 1)), 0, length, edges)
-
-
-def _generate_dag_indexed(
-    sources: Sequence[Source], output: str, config: SynthesisConfig
-) -> Dag:
-    """``generate_dag`` served from the occurrence index.
-
-    Each edge (i, j) reads its occurrences with one dict access instead of
-    scanning every source with ``str.find``; a whole-source occurrence
-    (start 0, full length) doubles as the RefAtom trigger, so atom order
-    matches the naive loop exactly (verified by the equivalence tests).
-    """
-    length = len(output)
     max_seq = config.max_tokenseq_len
     include_refs = config.include_ref_atoms
     values = dict(sources)

@@ -15,21 +15,13 @@ it allocates product nodes whose emptiness is only known after the global
 pruning fixpoint, so the returned dag may still contain atoms that later
 prove empty -- :meth:`Dag.pruned` removes them.
 
-One product BFS serves two strategies (``SynthesisConfig.
-use_lazy_intersection`` selects; both give byte-identical dags):
-
-* **eager** (the original, kept as the equivalence oracle): intersect
-  atoms on every discovered edge -- including edges on pairs that can
-  never reach the accept pair, whose atom work (and, in Lu, product-node
-  allocations) is wasted;
-* **lazy**: a co-reachability guard evaluated *before* any atom work:
-  per-dag bitmasks of path lengths to the target decide in O(1) whether
-  a pair can still sit on a start→accept path (each product step
-  advances both dags, so the length sets must intersect).
-
-Both paths renumber the surviving pairs canonically (sorted pair order),
-so the two strategies -- and any intersection order -- yield dags with
-identical node ids, which the equivalence tests compare byte-for-byte.
+The product BFS is pruned: a co-reachability guard evaluated *before*
+any atom work (per-dag bitmasks of path lengths to the target) decides
+in O(1) whether a pair can still sit on a start→accept path (each
+product step advances both dags, so the length sets must intersect).
+Pairs that fail it cost no atom intersection and, in Lu, no product-node
+allocations.  The surviving pairs are renumbered canonically (sorted
+pair order), so node ids do not depend on the BFS discovery order.
 """
 
 from __future__ import annotations
@@ -39,14 +31,11 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.syntactic.dag import Atom, ConstAtom, ContentKey, Dag, RefAtom, SubStrAtom
-from repro.syntactic.positions import (
-    intersect_position_sets,
-    intersect_position_sets_cached,
-)
+from repro.syntactic.positions import intersect_position_sets_cached
 
 MergeSource = Callable[[int, int], Optional[int]]
 Pair = Tuple[int, int]
-IntersectPos = Callable[..., object]
+Buckets = Tuple[set, List[Atom], List[Atom]]
 
 
 def equal_source_merge(first: int, second: int) -> Optional[int]:
@@ -54,7 +43,7 @@ def equal_source_merge(first: int, second: int) -> Optional[int]:
     return first if first == second else None
 
 
-def _atom_buckets(options: List[Atom]) -> Tuple[set, List[Atom], List[Atom]]:
+def _atom_buckets(options: List[Atom]) -> Buckets:
     """Bucket an edge's atoms by type (the per-edge half of the pairwise work)."""
     consts = set()
     refs: List[Atom] = []
@@ -69,17 +58,16 @@ def _atom_buckets(options: List[Atom]) -> Tuple[set, List[Atom], List[Atom]]:
     return consts, refs, substrs
 
 
-def _make_bucketer() -> Callable[[List[Atom]], Tuple[set, List[Atom], List[Atom]]]:
+def _make_bucketer() -> Callable[[List[Atom]], Buckets]:
     """Memoize :func:`_atom_buckets` per edge for one product run.
 
     An edge of the first dag is paired with every partner edge of the
-    second, so the eager/naive path re-buckets the same atom list once per
-    partner; the memo (id-keyed: option lists are owned by the live input
-    dag for the whole run) does it once per edge.
+    second; the memo (id-keyed: option lists are owned by the live input
+    dag for the whole run) buckets it once per edge, not once per partner.
     """
-    cache: Dict[int, Tuple[set, List[Atom], List[Atom]]] = {}
+    cache: Dict[int, Buckets] = {}
 
-    def bucket(options: List[Atom]) -> Tuple[set, List[Atom], List[Atom]]:
+    def bucket(options: List[Atom]) -> Buckets:
         key = id(options)
         entry = cache.get(key)
         if entry is None:
@@ -91,15 +79,11 @@ def _make_bucketer() -> Callable[[List[Atom]], Tuple[set, List[Atom], List[Atom]
 
 
 def _intersect_atoms(
-    first: List[Atom],
-    second: List[Atom],
-    merge_source: MergeSource,
-    intersect_pos: IntersectPos = intersect_position_sets,
-    buckets: Optional[Tuple[set, List[Atom], List[Atom]]] = None,
+    buckets: Buckets, second: List[Atom], merge_source: MergeSource
 ) -> List[Atom]:
-    """All pairwise atom intersections, bucketed by atom type for speed."""
+    """All pairwise atom intersections of a bucketed edge with ``second``."""
     result: List[Atom] = []
-    consts, refs, substrs = buckets if buckets is not None else _atom_buckets(first)
+    consts, refs, substrs = buckets
     for atom in second:
         if isinstance(atom, ConstAtom):
             if atom.text in consts:
@@ -114,16 +98,14 @@ def _intersect_atoms(
                 merged = merge_source(other.source, atom.source)
                 if merged is None:
                     continue
-                p1 = intersect_pos(other.p1, atom.p1)
+                p1 = intersect_position_sets_cached(other.p1, atom.p1)
                 if p1 is None:
                     continue
-                p2 = intersect_pos(other.p2, atom.p2)
+                p2 = intersect_position_sets_cached(other.p2, atom.p2)
                 if p2 is None:
                     continue
                 result.append(SubStrAtom(merged, p1, p2))
     return result
-
-
 
 
 def _target_length_masks(dag: Dag) -> Dict[int, int]:
@@ -145,39 +127,29 @@ def _target_length_masks(dag: Dag) -> Dict[int, int]:
 
 
 def _product(
-    first: Dag,
-    second: Dag,
-    merge_source: MergeSource,
-    intersect_pos: IntersectPos,
-    bucket_of: Callable = _atom_buckets,
-    lazy: bool = False,
+    first: Dag, second: Dag, merge_source: MergeSource
 ) -> Tuple[Dict[Tuple[Pair, Pair], List[Atom]], Set[Pair]]:
-    """Forward product BFS, optionally guarded by co-reachability masks.
+    """Forward product BFS guarded by co-reachability masks.
 
     Returns the recorded edges plus the BFS seen-set (= forward
     reachability over those edges, reused by :func:`_finalize_product`).
 
-    One loop serves both strategies so the oracle cannot drift from the
-    optimized path.  With ``lazy`` a product pair (a, b) is explored only
-    if some a→target path in ``first`` and some b→target path in
-    ``second`` have the *same* number of edges (each product step
-    advances both dags); the length sets are per-dag bitmasks, so the
-    guard is two dict reads and an AND -- pairs that fail it cost
-    nothing: no pairwise atom intersection and, in Lu, no product-node
-    allocations through ``merge_source``.  (Start-side reachability needs
-    no guard: the BFS only reaches a pair over equal-length live paths by
-    construction.)
+    A product pair (a, b) is explored only if some a→target path in
+    ``first`` and some b→target path in ``second`` have the *same* number
+    of edges (each product step advances both dags); the length sets are
+    per-dag bitmasks, so the guard is two dict reads and an AND.
+    (Start-side reachability needs no guard: the BFS only reaches a pair
+    over equal-length live paths by construction.)
     """
     start = (first.source, second.source)
-    bwd1 = bwd2 = None
-    if lazy:
-        bwd1 = _target_length_masks(first)
-        bwd2 = _target_length_masks(second)
-        if not (bwd1[first.source] & bwd2[second.source]):
-            return {}, {start}
+    bwd1 = _target_length_masks(first)
+    bwd2 = _target_length_masks(second)
+    if not (bwd1[first.source] & bwd2[second.source]):
+        return {}, {start}
 
     out1 = first.out_neighbors()
     out2 = second.out_neighbors()
+    bucket_of = _make_bucketer()
     edges: Dict[Tuple[Pair, Pair], List[Atom]] = {}
     worklist = [start]
     seen = {start}
@@ -187,20 +159,14 @@ def _product(
             options1 = first.edges.get((a, a2))
             if not options1:
                 continue
-            bwd1_a2 = bwd1[a2] if lazy else 0
+            bwd1_a2 = bwd1[a2]
             for b2 in out2[b]:
-                if lazy and not (bwd1_a2 & bwd2[b2]):
+                if not (bwd1_a2 & bwd2[b2]):
                     continue  # (a2, b2) is never on a start→accept path
                 options2 = second.edges.get((b, b2))
                 if not options2:
                     continue
-                merged = _intersect_atoms(
-                    options1,
-                    options2,
-                    merge_source,
-                    intersect_pos,
-                    buckets=bucket_of(options1),
-                )
+                merged = _intersect_atoms(bucket_of(options1), options2, merge_source)
                 if not merged:
                     continue
                 edges[((a, b), (a2, b2))] = merged
@@ -239,9 +205,9 @@ def _finalize_product(
                 stack.append(previous)
     alive = forward & backward
     ids = {pair: index for index, pair in enumerate(sorted(alive))}
-    # Insertion order of the edge dict is canonical too, so both product
-    # strategies return byte-identical dags (dict iteration order leaks
-    # into nothing semantic, but determinism should not depend on that).
+    # Insertion order of the edge dict is canonical too, so equal inputs
+    # give byte-identical dags (dict iteration order leaks into nothing
+    # semantic, but determinism should not depend on that).
     final_edges = dict(
         sorted(
             ((ids[i], ids[j]), options)
@@ -253,7 +219,7 @@ def _finalize_product(
 
 
 # ----------------------------------------------------------------------
-# The dag-level intersection memo (``use_intersection_cache``).
+# The dag-level intersection memo.
 #
 # The interaction model of §3.2 re-learns after every new example, so the
 # same (running, fresh) products recur across Synthesizer calls -- round k
@@ -334,22 +300,15 @@ def clear_dag_cache() -> None:
 
 
 def intersect_dags(
-    first: Dag,
-    second: Dag,
-    merge_source: MergeSource = equal_source_merge,
-    lazy: bool = False,
-    use_cache: bool = False,
+    first: Dag, second: Dag, merge_source: MergeSource = equal_source_merge
 ) -> Optional[Dag]:
     """Product-automaton intersection; ``None`` when no common expression.
 
-    ``lazy`` selects the pruned product (atom intersection only on edges
-    that can reach the accept pair); ``use_cache`` serves position-set
-    intersections from the interned memo, buckets each edge's atoms once
-    per run, and (for the pure-variable merge) serves whole repeated
-    products from the dag-level memo.  Both default off so the bare call
-    is the naive oracle; the languages pass their
-    :class:`~repro.config.SynthesisConfig` flags.  Returned node ids are
-    canonical (sorted surviving pair order) under every combination.
+    Atoms are merged only on edges that can reach the accept pair,
+    position-set intersections come from the interned memo, and (for the
+    pure-variable merge) whole repeated products are served from the
+    dag-level memo.  Returned node ids are canonical (sorted surviving
+    pair order).
     """
     if first.is_trivial_empty or second.is_trivial_empty:
         # Only the empty concatenation lives in a trivial dag; intersection
@@ -359,7 +318,7 @@ def intersect_dags(
         return None
 
     memo_key = None
-    if use_cache and merge_source is equal_source_merge:
+    if merge_source is equal_source_merge:
         memo_key = (_dag_content_key(first), _dag_content_key(second))
         with _DAG_LOCK:
             if memo_key in _DAG_CACHE:
@@ -368,13 +327,7 @@ def intersect_dags(
                 return _private_dag_copy(_DAG_CACHE[memo_key])
             _DAG_STATS["misses"] += 1
 
-    intersect_pos: IntersectPos = (
-        intersect_position_sets_cached if use_cache else intersect_position_sets
-    )
-    bucket_of: Callable = _make_bucketer() if use_cache else _atom_buckets
-    edges, forward = _product(
-        first, second, merge_source, intersect_pos, bucket_of, lazy=lazy
-    )
+    edges, forward = _product(first, second, merge_source)
     start = (first.source, second.source)
     goal = (first.target, second.target)
     result = _finalize_product(edges, forward, start, goal)

@@ -17,7 +17,7 @@ from repro.core.base import Expression, InputState
 from repro.core.exprs import Var
 from repro.core.formalism import LanguageAdapter
 from repro.syntactic.ast import Concatenate, ConstStr, SubStr
-from repro.syntactic.dag import Atom, ConstAtom, Dag, RefAtom, SubStrAtom
+from repro.syntactic.dag import Atom, ConstAtom, Dag, RefAtom
 from repro.syntactic.generate import generate_dag
 from repro.syntactic.intersect import equal_source_merge, intersect_dags
 from repro.syntactic.positions import (
@@ -53,13 +53,7 @@ class SyntacticLanguage:
         return generate_dag(sources, output, self.config)
 
     def intersect(self, first: Dag, second: Dag) -> Optional[Dag]:
-        return intersect_dags(
-            first,
-            second,
-            equal_source_merge,
-            lazy=self.config.use_lazy_intersection,
-            use_cache=self.config.use_intersection_cache,
-        )
+        return intersect_dags(first, second, equal_source_merge)
 
     def is_empty(self, dag: Dag) -> bool:
         return not dag.has_path()

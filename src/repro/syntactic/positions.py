@@ -112,8 +112,8 @@ def cached_positions(text: str, position: int, max_tokenseq_len: int = 1) -> Pos
 def position_cache_stats() -> dict:
     """Hit/miss/eviction/size counters of the position-set cache.
 
-    The benchmarks report these to quantify how much of GenerateStr's
-    position work is reuse (``bench_indexing.py``).
+    perfbench's traced ``suite-learn`` run reports these to quantify how
+    much of GenerateStr's position work is reuse.
     """
     stats = dict(_GP_STATS)
     stats["entries"] = len(_GP_CACHE)
@@ -130,7 +130,7 @@ def reset_position_cache_stats() -> None:
 
 
 # ----------------------------------------------------------------------
-# Interning and the memoized intersection (``use_intersection_cache``).
+# Interning and the memoized intersection.
 #
 # Position sets are the hottest objects of the intersect side: in a product
 # of two dags, the pair (p̃ of node i, p̃ of node k) is re-intersected on

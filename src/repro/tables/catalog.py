@@ -52,15 +52,14 @@ class Catalog:
     (Occurrence(table='T', column='b', row=0),)
     """
 
-    #: True on ``repro.storage.StorageCatalog`` -- the engine checks this
-    #: (not isinstance, to avoid the import cycle) to decide whether the
-    #: ``use_storage_backend`` config flag applies.
+    #: True on ``repro.storage.StorageCatalog``; callers check this
+    #: instead of isinstance, avoiding the import cycle.
     storage_backed = False
 
     #: Matcher strategies ``Select`` evaluation and the lookup generator
     #: use against this catalog (``repro.matching``).  ``("exact",)`` is
     #: the hard-wired-equality oracle; ``Synthesizer`` stamps it from
-    #: ``SynthesisConfig.matchers`` (like ``use_table_index``) and
+    #: ``SynthesisConfig.matchers`` and
     #: :meth:`with_matchers` derives a re-matched snapshot.  A class
     #: attribute so shell-constructed catalogs (storage views) default
     #: to exact.
@@ -85,11 +84,6 @@ class Catalog:
         self._matcher_pipeline = None
         self._fingerprint: Optional[str] = None
         self._frozen: bool = False
-        #: Serve ``Select`` evaluations against this catalog from the
-        #: tables' inverted value indexes.  ``Synthesizer`` sets it from
-        #: ``SynthesisConfig.use_table_index``; False selects the naive
-        #: row scans (the equivalence oracle).
-        self.use_table_index: bool = True
         # Instance copy of the class default: the hot-path gate reads
         # this per evaluated row and an instance-dict hit is ~3x faster
         # than the class-attribute fallback.
@@ -194,7 +188,6 @@ class Catalog:
             for name in self._order
         ]
         rebuilt = Catalog(replaced)
-        rebuilt.use_table_index = self.use_table_index
         rebuilt.matcher_spec = self.matcher_spec
         rebuilt.matchers_active = self.matchers_active
         return rebuilt.freeze()
@@ -220,7 +213,6 @@ class Catalog:
         clone._matcher_pipeline = None
         clone._fingerprint = None
         clone._frozen = True
-        clone.use_table_index = self.use_table_index
         clone.matcher_spec = self.matcher_spec
         clone.matchers_active = self.matchers_active
         return clone
@@ -480,7 +472,6 @@ class Catalog:
         clone._matcher_pipeline = None
         clone._fingerprint = self._fingerprint
         clone._frozen = True
-        clone.use_table_index = self.use_table_index
         clone.matcher_spec = names
         clone.matchers_active = names != ("exact",)
         return clone

@@ -3,10 +3,10 @@
 ``GenerateStr'_t``'s relaxed-reachability trigger (§5.3) asks, for every
 newly reachable string ``x``, which table entries ``v`` *overlap* it:
 ``v == x``, ``v`` a substring of ``x``, or ``x`` a substring of ``v``.
-The naive answer rescans every untriggered entry per frontier string --
+Rescanning every untriggered entry per frontier string would cost
 O(|distinct values| x |frontier|) pairwise ``in`` checks per reachability
-step.  This module answers the same question from two purpose-built
-indexes over the distinct values:
+step; this module answers the question from two purpose-built indexes
+over the distinct values:
 
 * **entries contained in x** -- Aho-Corasick automatons over the values;
   one scan of ``x`` reports every value occurring inside it in
@@ -103,8 +103,8 @@ class SubstringIndex:
 
     Value *ids* are positions into :attr:`values`; since the catalog hands
     its values over in insertion order, sorted ids reproduce the catalog's
-    deterministic scan order -- which the semantic generator relies on to
-    match the naive path exactly.
+    deterministic scan order -- which the semantic generator relies on for
+    node ids that do not depend on hashing.
     """
 
     __slots__ = ("values", "_id_of", "_lengths", "_segments", "_grams")
@@ -299,8 +299,7 @@ class SubstringIndex:
         """Ids of values overlapping ``text`` per the §5.3 trigger, sorted.
 
         A value ``v`` overlaps when ``v == text``, or ``v in text`` with
-        ``len(v) >= min_len``, or ``text in v`` with ``len(text) >= min_len``
-        -- exactly ``repro.semantic.generate._overlaps``.
+        ``len(v) >= min_len``, or ``text in v`` with ``len(text) >= min_len``.
         """
         if not text:
             return []

@@ -622,21 +622,16 @@ class Table:
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def find_rows(
-        self, conditions: Dict[str, str], use_index: bool = True
-    ) -> List[int]:
+    def find_rows(self, conditions: Dict[str, str]) -> List[int]:
         """All row indices whose cells match every ``column: value`` pair.
 
         Served from the per-column inverted index: the shortest posting
         list is filtered through the others, so a single-key lookup is one
-        dict access instead of a full row scan.  ``use_index=False`` runs
-        the naive scan (the equivalence oracle, see ``SynthesisConfig``).
+        dict access instead of a full row scan.
         """
-        if not use_index:
-            return self.find_rows_naive(conditions)
         for column in conditions:
-            self.column_position(column)  # raises UnknownColumnError, like
-            # the naive scan does, before any empty-posting early return
+            self.column_position(column)  # raises UnknownColumnError
+            # before any empty-posting early return
         if not conditions:
             return list(range(len(self.rows)))
         index = self._ensure_value_rows()
@@ -657,24 +652,13 @@ class Table:
             if all(row_number in other for other in others)
         ]
 
-    def find_rows_naive(self, conditions: Dict[str, str]) -> List[int]:
-        """The full-scan ``find_rows`` (kept as the index's oracle)."""
-        positions = [(self.column_position(c), v) for c, v in conditions.items()]
-        return [
-            row_number
-            for row_number, row in enumerate(self.rows)
-            if all(row[position] == value for position, value in positions)
-        ]
-
-    def lookup(
-        self, column: str, conditions: Dict[str, str], use_index: bool = True
-    ) -> str:
+    def lookup(self, column: str, conditions: Dict[str, str]) -> str:
         """Evaluate a concrete lookup: the paper's Select semantics.
 
         Returns ``T[column, r]`` when exactly one row ``r`` matches
         ``conditions``, and the empty string otherwise (paper §4.1).
         """
-        matches = self.find_rows(conditions, use_index=use_index)
+        matches = self.find_rows(conditions)
         if len(matches) == 1:
             return self.cell(column, matches[0])
         return ""

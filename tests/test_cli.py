@@ -142,6 +142,20 @@ class TestSubcommands:
         assert "rank 1: score=" in output
         assert "rank 2: score=" in output
 
+    def test_learn_top_above_max_k_exits_1(self, workdir, capsys):
+        code = main(
+            [
+                "learn",
+                "--table", str(workdir / "Comp.csv"),
+                "--examples", str(workdir / "examples.csv"),
+                "--top", "101",
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --top must be at most 100, got 101\n"
+        assert captured.out == ""
+
     def test_learn_save_then_fill(self, workdir, capsys):
         artifact = workdir / "program.json"
         code = main(

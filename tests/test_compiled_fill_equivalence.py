@@ -6,8 +6,6 @@ into flat closure plans for the serve-many fill path; the interpreter
 These tests hold the two to byte-identical outputs *and* identical
 error messages:
 
-* every benchsuite problem (all 50), learned then filled over every
-  bench row (twice, plus blanks) on both paths;
 * hypothesis-generated rows -- arbitrary unicode including astral-plane
   characters, blank rows interleaved -- against a hand-built program
   exercising Select fusion, SubStr position closures and concat
@@ -18,15 +16,16 @@ error messages:
   re-bind silently, removed/re-schema'd/rewritten tables refuse with
   ``StaleProgramError``;
 * the service plan cache: keyed (program digest, catalog fingerprint),
-  hits/misses in ``stats()``, interpreter oracle when the flag is off.
+  hits/misses in ``stats()``.
+
+Every benchsuite problem's top program is held to the interpreter (and
+required to compile) by the golden test, ``tests/test_goldens.py``.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.benchsuite import all_benchmarks
-from repro.config import DEFAULT_CONFIG, SynthesisConfig
 from repro.engine.compile import (
     CompiledProgram,
     PlanCompileError,
@@ -82,36 +81,10 @@ def assert_equivalent(program: Program, rows) -> None:
     plan = program.compile()
     assert plan.fill_aligned(rows) == expected
     assert list(plan.fill_iter(rows)) == expected
-    # The flag-routed path serves the same bytes.
-    program.use_compiled_fill = True
+    # The plan-routed path serves the same bytes.
     assert program.fill_aligned(rows) == expected
     full_rows = [row for row in rows if row]
     assert plan.fill(full_rows) == program.fill_interpreted(full_rows)
-
-
-class TestBenchsuiteEquivalence:
-    @pytest.mark.parametrize(
-        "bench", all_benchmarks(), ids=lambda bench: bench.ident
-    )
-    def test_all_benchmarks_byte_identical(self, bench):
-        session = bench.session()
-        for inputs, output in bench.rows[:3]:
-            session.add_example(inputs, output)
-        program = session.learn()
-        rows = [list(inputs) for inputs, _ in bench.rows]
-        rows = rows + [[]] + rows  # repeats exercise the row memo
-        assert_equivalent(program, rows)
-
-    def test_every_benchmark_compiles(self):
-        # No silent interpreter fallbacks across the whole suite: the
-        # ≥10x claim only holds if the plans actually serve.
-        for bench in all_benchmarks():
-            session = bench.session()
-            for inputs, output in bench.rows[:3]:
-                session.add_example(inputs, output)
-            program = session.learn()
-            plan = program.compile()
-            assert isinstance(plan, CompiledProgram), bench.ident
 
 
 class TestHypothesisRows:
@@ -135,10 +108,7 @@ class TestHypothesisRows:
         )
     )
     def test_unicode_rows_byte_identical(self, rows):
-        catalog = make_catalog()
-        program = make_program(catalog)
-        expected = program.fill_aligned_interpreted(rows)
-        assert program.compile().fill_aligned(rows) == expected
+        assert_equivalent(make_program(make_catalog()), rows)
 
     @settings(max_examples=30, deadline=None)
     @given(key=st.integers(min_value=-5, max_value=45))
@@ -201,26 +171,14 @@ class TestServingContract:
         assert plan.fill_aligned(rows) == program.fill_aligned_interpreted(rows)
         assert len(plan._memo) <= limit
 
-    def test_flag_off_serves_interpreter(self):
-        program = make_program(make_catalog())
-        program.use_compiled_fill = False
-        assert program._compiled_or_none() is None
-
     def test_compile_failure_falls_back_silently(self):
         # No catalog at all: the Select cannot bind, so compile refuses
-        # and the flag-routed path serves the interpreter.
+        # and the fill methods serve the interpreter.
         program = make_program(make_catalog())
         unbound = Program(program.expr, None, "semantic", 1)
         with pytest.raises(PlanCompileError):
             unbound.compile()
         assert unbound._compiled_or_none() is None
-
-    def test_oracle_config_refuses_to_compile(self):
-        catalog = make_catalog()
-        catalog.use_table_index = False
-        program = make_program(catalog)
-        with pytest.raises(PlanCompileError):
-            program.compile()
 
 
 class TestRebindContract:
@@ -298,11 +256,11 @@ class TestRebindContract:
 
 
 class TestServicePlanCache:
-    def _service_and_program(self, config=DEFAULT_CONFIG):
+    def _service_and_program(self):
         from repro.service.service import SynthesisService
 
         catalog = make_catalog()
-        service = SynthesisService(catalog=catalog, config=config)
+        service = SynthesisService(catalog=catalog)
         program = make_program(service.engine.catalog)
         return service, program
 
@@ -316,14 +274,6 @@ class TestServicePlanCache:
         assert stats["misses"] == 1
         assert stats["hits"] == 1
         assert stats["entries"] == 1
-
-    def test_flag_off_serves_interpreter_oracle(self):
-        oracle_config = SynthesisConfig(use_compiled_fill=False)
-        service, program = self._service_and_program(config=oracle_config)
-        rows = [["c1 x"], [], ["zzz"]]
-        outputs = service.fill(program, rows)
-        assert outputs == program.fill_aligned_interpreted(rows)
-        assert service.stats()["plan_cache"]["misses"] == 0
 
     def test_catalog_update_changes_cache_key(self):
         service, program = self._service_and_program()

@@ -2,10 +2,10 @@
 
 Phase 1 of ``generate_semantic`` used to iterate the ``untriggered``
 *set*, so node-id assignment -- and therefore ranking tie-breaks --
-varied with string hash randomization across interpreter runs.  Both
-trigger paths now emit newly triggered values in catalog insertion
-order; these tests pin that, naive and indexed alike, by re-running the
-same synthesis under different hash seeds in subprocesses.
+varied with string hash randomization across interpreter runs.  The
+trigger now emits newly triggered values in catalog insertion order;
+these tests pin that by re-running the same synthesis under different
+hash seeds in subprocesses.
 """
 
 import json
@@ -14,10 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import repro
-from repro.api import Synthesizer
 from repro.config import DEFAULT_CONFIG
 from repro.semantic.generate import generate_semantic
 from repro.tables.catalog import Catalog
@@ -31,7 +28,6 @@ SNAPSHOT_SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from repro.api import Synthesizer
-from repro.config import DEFAULT_CONFIG
 from repro.tables.catalog import Catalog
 from repro.tables.table import Table
 
@@ -48,13 +44,12 @@ catalog = Catalog([
         ("B1", "north"),
     ], keys=[("Bin",)]),
 ])
-config = DEFAULT_CONFIG if sys.argv[2] == "indexed" else DEFAULT_CONFIG.without_indexes()
-result = Synthesizer(catalog, config=config).synthesize([(("p1",), "north")], k=5)
+result = Synthesizer(catalog).synthesize([(("p1",), "north")], k=5)
 
 # The raw structure too: node-id order is exactly what set iteration
 # used to scramble, even when ranked output happened to coincide.
 from repro.semantic.generate import generate_semantic
-structure = generate_semantic(catalog, ("p1",), "north", config)
+structure = generate_semantic(catalog, ("p1",), "north")
 print(json.dumps({
     "programs": [[c.rank, c.score, str(c.program)] for c in result.programs],
     "consistent_count": result.consistent_count,
@@ -65,11 +60,11 @@ print(json.dumps({
 """
 
 
-def run_snapshot(hash_seed: str, mode: str) -> dict:
+def run_snapshot(hash_seed: str) -> dict:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     output = subprocess.run(
-        [sys.executable, "-c", SNAPSHOT_SCRIPT, SRC_DIR, mode],
+        [sys.executable, "-c", SNAPSHOT_SCRIPT, SRC_DIR],
         capture_output=True,
         text=True,
         env=env,
@@ -78,14 +73,9 @@ def run_snapshot(hash_seed: str, mode: str) -> dict:
     return json.loads(output.stdout)
 
 
-@pytest.mark.parametrize("mode", ["indexed", "naive"])
-def test_results_stable_across_hash_seeds(mode):
-    snapshots = [run_snapshot(seed, mode) for seed in ("0", "1", "42")]
+def test_results_stable_across_hash_seeds():
+    snapshots = [run_snapshot(seed) for seed in ("0", "1", "42")]
     assert snapshots[0] == snapshots[1] == snapshots[2]
-
-
-def test_indexed_and_naive_agree_across_seeds():
-    assert run_snapshot("7", "indexed") == run_snapshot("13", "naive")
 
 
 def test_repeated_generate_identical_in_process():

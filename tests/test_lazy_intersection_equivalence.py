@@ -1,19 +1,15 @@
-"""Lazy pruned intersection & intersection cache vs the naive oracles.
+"""Lazy pruned, cached intersection vs the eager product reference.
 
-``use_lazy_intersection`` guards the product BFS with per-dag path-length
+``intersect_dags`` guards the product BFS with per-dag path-length
 bitmasks so atoms are only intersected on edges that can sit on a
-start→accept path; ``use_intersection_cache`` serves position-set
-intersections from the interned memo, buckets each edge's atoms once per
-run, and recognizes whole repeated products through the dag-level memo.
-Neither may change *what* is synthesized:
-
-* for pure Ls both product strategies must build **byte-identical dags**
-  (canonical node renumbering makes them comparable), on randomized dag
-  pairs and on multi-example chains in any fold order;
-* for the catalog languages the lazy product allocates fewer dead product
-  nodes, so stores are compared through what they denote: identical
-  expression counts, structure sizes, ranked programs and fills on every
-  benchsuite problem.
+start→accept path, serves position-set intersections from the interned
+memo, and recognizes whole repeated products through the dag-level memo.
+None of that may change *what* is synthesized: for pure Ls the result
+must be **byte-identical** (canonical node renumbering makes dags
+comparable) to the eager product of ``tests/references.py``, on
+randomized dag pairs and on multi-example chains; any fold order must
+denote the same program space.  The catalog languages are pinned by the
+committed goldens (``tests/test_goldens.py``).
 """
 
 from dataclasses import replace
@@ -22,8 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Synthesizer
-from repro.benchsuite import all_benchmarks
+from references import eager_product
 from repro.config import DEFAULT_CONFIG
 from repro.core.formalism import Synthesize, fold_structures, generate_structures
 from repro.syntactic.generate import generate_dag
@@ -36,10 +31,6 @@ from repro.syntactic.positions import (
     intersection_cache_stats,
 )
 
-LAZY = DEFAULT_CONFIG
-EAGER = replace(
-    DEFAULT_CONFIG, use_lazy_intersection=False, use_intersection_cache=False
-)
 ALPHABET = "ab1-"
 
 
@@ -52,8 +43,6 @@ def dag_key(dag):
         dag.target,
         tuple(sorted((edge, tuple(atoms)) for edge, atoms in dag.edges.items())),
     )
-
-
 
 
 # -- randomized dag pairs ----------------------------------------------------
@@ -70,16 +59,15 @@ class TestDagPairEquivalence:
         numbered = list(enumerate(sources))
         first = generate_dag(numbered, out1, DEFAULT_CONFIG)
         second = generate_dag(numbered, out2, DEFAULT_CONFIG)
-        eager = intersect_dags(first, second, lazy=False, use_cache=False)
-        lazy = intersect_dags(first, second, lazy=True, use_cache=False)
-        cached = intersect_dags(first, second, lazy=True, use_cache=True)
-        assert dag_key(eager) == dag_key(lazy) == dag_key(cached)
+        eager = eager_product(first, second)
+        lazy = intersect_dags(first, second)
+        assert dag_key(eager) == dag_key(lazy)
         if eager is not None:
             # Atom order inside each edge must match too (dag_key sorts
             # edges but keeps each option list in emission order).
-            assert list(eager.edges.keys()) == sorted(eager.edges.keys())
+            assert list(lazy.edges.keys()) == sorted(lazy.edges.keys())
             for edge in eager.edges:
-                assert eager.edges[edge] == lazy.edges[edge] == cached.edges[edge]
+                assert eager.edges[edge] == lazy.edges[edge]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -127,19 +115,19 @@ CHAINS = [
 class TestChainEquivalence:
     @pytest.mark.parametrize("examples", CHAINS, ids=["names", "dates", "two-vars"])
     def test_chain_identical_dags(self, examples):
-        lazy_lang = SyntacticLanguage(LAZY)
-        eager_lang = SyntacticLanguage(EAGER)
-        lazy_dag = Synthesize(lazy_lang.adapter(), examples)
-        eager_dag = Synthesize(eager_lang.adapter(), examples)
+        language = SyntacticLanguage(DEFAULT_CONFIG)
+        adapter = language.adapter()
+        lazy_dag = Synthesize(adapter, examples)
+        eager_dag = Synthesize(replace(adapter, intersect=eager_product), examples)
         assert dag_key(lazy_dag) == dag_key(eager_dag)
-        assert lazy_lang.count_expressions(lazy_dag) == eager_lang.count_expressions(
+        assert language.count_expressions(lazy_dag) == language.count_expressions(
             eager_dag
         )
-        assert lazy_lang.structure_size(lazy_dag) == eager_lang.structure_size(
+        assert language.structure_size(lazy_dag) == language.structure_size(
             eager_dag
         )
-        assert str(lazy_lang.best_program(lazy_dag)) == str(
-            eager_lang.best_program(eager_dag)
+        assert str(language.best_program(lazy_dag)) == str(
+            language.best_program(eager_dag)
         )
 
     @pytest.mark.parametrize("examples", CHAINS, ids=["names", "dates", "two-vars"])
@@ -152,7 +140,7 @@ class TestChainEquivalence:
         extracted programs must agree (this is what licenses the engine's
         smallest-structure-first reordering).
         """
-        language = SyntacticLanguage(LAZY)
+        language = SyntacticLanguage(DEFAULT_CONFIG)
         adapter = language.adapter()
         structures = generate_structures(adapter, examples)
         folds = [
@@ -171,27 +159,6 @@ class TestChainEquivalence:
                     assert program.evaluate(state) == output
 
 
-# -- benchsuite problems -----------------------------------------------------
-@pytest.mark.parametrize("bench", all_benchmarks(), ids=lambda bench: bench.name)
-def test_benchsuite_lazy_vs_eager(bench):
-    """Lazy+cached and eager intersection agree on every benchsuite problem.
-
-    Three examples (one more than the indexing equivalence test) so at
-    least two intersections run, exercising the smallest-first fold too.
-    """
-    examples = list(bench.rows[:3])
-    lazy = Synthesizer(bench.catalog(), config=LAZY).synthesize(examples, k=3)
-    eager = Synthesizer(bench.catalog(), config=EAGER).synthesize(examples, k=3)
-    assert str(lazy.program) == str(eager.program)
-    assert lazy.consistent_count == eager.consistent_count
-    assert lazy.structure_size == eager.structure_size
-    assert [(c.rank, c.score, str(c.program)) for c in lazy.programs] == [
-        (c.rank, c.score, str(c.program)) for c in eager.programs
-    ]
-    rows = [inputs for inputs, _ in bench.rows]
-    assert lazy.fill(rows) == eager.fill(rows)
-
-
 class TestDagLevelMemo:
     def test_repeated_product_served_from_memo(self):
         from repro.syntactic.intersect import (
@@ -205,10 +172,10 @@ class TestDagLevelMemo:
         numbered = [(0, "ab-cd")]
         first = generate_dag(numbered, "ab", DEFAULT_CONFIG)
         second = generate_dag(numbered, "ab", DEFAULT_CONFIG)
-        one = intersect_dags(first, second, lazy=True, use_cache=True)
+        one = intersect_dags(first, second)
         # Structurally equal operands (even different objects) hit.
         first2 = generate_dag(numbered, "ab", DEFAULT_CONFIG)
-        two = intersect_dags(first2, second, lazy=True, use_cache=True)
+        two = intersect_dags(first2, second)
         stats = dag_cache_stats()
         assert stats["misses"] == 1 and stats["hits"] == 1
         # Hits return private copies (never the stored instance), so a
@@ -216,12 +183,10 @@ class TestDagLevelMemo:
         assert two is not one
         assert dag_key(two) == dag_key(one)
         two.edges.clear()
-        three = intersect_dags(first, second, lazy=True, use_cache=True)
+        three = intersect_dags(first, second)
         assert dag_key(three) == dag_key(one)
-        # The uncached oracle agrees.
-        assert dag_key(one) == dag_key(
-            intersect_dags(first, second, lazy=False, use_cache=False)
-        )
+        # The eager reference agrees.
+        assert dag_key(one) == dag_key(eager_product(first, second))
 
     def test_lu_merge_sources_never_use_dag_memo(self):
         from repro.syntactic.intersect import (
@@ -238,6 +203,6 @@ class TestDagLevelMemo:
         def merge(a, b):  # a Lu-style merge with side effects
             return a if a == b else None
 
-        intersect_dags(first, first, merge, lazy=True, use_cache=True)
+        intersect_dags(first, first, merge)
         stats = dag_cache_stats()
         assert stats["misses"] == 0 and stats["hits"] == 0

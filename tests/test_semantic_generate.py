@@ -4,9 +4,10 @@ import pytest
 
 from repro.config import SynthesisConfig
 from repro.lookup.dstruct import GenSelect, VarEntry
-from repro.semantic.generate import _overlaps, generate_semantic
+from repro.semantic.generate import generate_semantic
 from repro.semantic.language import SemanticLanguage
 from repro.tables import Catalog, Table
+from repro.tables.substring_index import SubstringIndex
 
 
 @pytest.fixture()
@@ -48,6 +49,12 @@ def bike_catalog():
             )
         ]
     )
+
+
+def _overlaps(entry_value, reachable, min_len):
+    """Does ``entry_value`` trigger on ``reachable`` (the §5.3 rule)?"""
+    index = SubstringIndex([entry_value])
+    return index.overlapping(reachable, min_len) == [0]
 
 
 class TestOverlapTrigger:

@@ -101,10 +101,10 @@ class TestLearnCaching:
 
     def test_config_changes_the_key(self):
         base = SynthesisService(make_catalog())
-        naive = SynthesisService(
-            make_catalog(), config=DEFAULT_CONFIG.without_indexes()
+        canonical = SynthesisService(
+            make_catalog(), config=DEFAULT_CONFIG.with_matchers("canonical")
         )
-        assert base.cache_key(EXAMPLES) != naive.cache_key(EXAMPLES)
+        assert base.cache_key(EXAMPLES) != canonical.cache_key(EXAMPLES)
 
     def test_catalog_changes_the_key(self):
         other = Catalog(
@@ -158,10 +158,14 @@ class TestFill:
             service.fill(result.program, [["c2 c5 c6"]], catalog="bare")
 
     def test_engine_cached_even_for_copying_configs(self):
-        """The oracle config (use_table_index=False) cannot share frozen
-        snapshots, but the per-catalog engine must still be reused."""
+        """A non-default matcher spec cannot share frozen snapshots (the
+        engine derives a matcher clone), but the per-catalog engine must
+        still be reused."""
         service = SynthesisService(
-            make_catalog(), config=DEFAULT_CONFIG.without_indexes()
+            make_catalog(), config=DEFAULT_CONFIG.with_matchers("canonical")
+        )
+        assert service.engine.catalog is not service.registry.get(
+            service.default_catalog
         )
         assert service.engine is service.engine
 

@@ -178,6 +178,14 @@ class TestErrors:
         status, body = post(server, "/learn", {"examples": [["not-a-pair"]]})
         assert status == 400
 
+    @pytest.mark.parametrize("k", [101, True], ids=["over-max", "boolean"])
+    def test_k_outside_bounds_is_400(self, server, k):
+        status, body = post(server, "/learn", {"examples": EXAMPLES_JSON, "k": k})
+        assert status == 400
+        assert body["error"] == "k must be an integer from 1 to 100"
+        _, stats = get(server, "/stats")
+        assert stats["request_cache"]["misses"] == 0  # nothing was learned
+
     def test_unsolvable_task_is_422(self, server):
         status, body = post(
             server,

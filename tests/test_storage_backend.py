@@ -12,7 +12,6 @@ appends survive a restart.
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG
 from repro.exceptions import (
     CatalogRegistryError,
     DuplicateTableError,
@@ -284,8 +283,8 @@ class TestStorageCatalogAdapter:
         assert "Comp" in disk and "Absent" not in disk
 
 
-class TestUseStorageBackendFlag:
-    def test_flag_off_materializes_in_synthesizer(self, tmp_path):
+class TestStorageCatalogInSynthesizer:
+    def test_served_directly_or_materialized(self, tmp_path):
         from repro.api.engine import Synthesizer
 
         path = tmp_path / "catalog.db"
@@ -293,18 +292,11 @@ class TestUseStorageBackendFlag:
         backend = SQLiteBackend(path)
         disk = StorageCatalog(backend)
         direct = Synthesizer(catalog=disk)
-        assert direct.catalog is disk  # default: serve through the backend
-        from dataclasses import replace
-
-        oracle = Synthesizer(
-            catalog=disk, config=replace(DEFAULT_CONFIG, use_storage_backend=False)
-        )
-        assert not oracle.catalog.storage_backed
-        assert oracle.catalog.fingerprint() == disk.fingerprint()
+        assert direct.catalog is disk  # served through the backend
+        resident = Synthesizer(catalog=disk.materialize())
+        assert not resident.catalog.storage_backed
+        assert resident.catalog.fingerprint() == disk.fingerprint()
         backend.close()
-
-    def test_without_indexes_disables_storage_backend(self):
-        assert DEFAULT_CONFIG.without_indexes().use_storage_backend is False
 
 
 class TestHotTierCache:

@@ -9,8 +9,8 @@ discipline (every optimization must be observationally invisible):
   in-memory catalog.
 * **End-to-end**: learning and filling through a ``StorageCatalog`` over
   SQLite produces the identical ranked programs and outputs as (a) the
-  plain catalog and (b) the ``use_storage_backend=False`` oracle, which
-  materializes the storage catalog back into memory first.
+  plain catalog and (b) ``StorageCatalog.materialize()``, which lifts
+  the storage catalog back into memory.
 * **Randomized growth**: hypothesis drives random append sequences into
   a SQLite backend and the COW in-memory catalog side by side; after
   every step the fingerprint chain, distinct order and occurrence
@@ -18,14 +18,11 @@ discipline (every optimization must be observationally invisible):
   that appends can trigger.
 """
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api.engine import Synthesizer
 from repro.benchsuite import all_benchmarks
-from repro.config import DEFAULT_CONFIG
 from repro.storage import SQLiteBackend, StorageCatalog, ingest_catalog
 from repro.tables.catalog import Catalog
 from repro.tables.table import Table
@@ -90,10 +87,9 @@ class TestEndToEndSynthesisEquivalence:
         try:
             base = Synthesizer(catalog=plain).synthesize(examples, k=3)
             stored = Synthesizer(catalog=disk).synthesize(examples, k=3)
-            oracle = Synthesizer(
-                catalog=disk,
-                config=replace(DEFAULT_CONFIG, use_storage_backend=False),
-            ).synthesize(examples, k=3)
+            oracle = Synthesizer(catalog=disk.materialize()).synthesize(
+                examples, k=3
+            )
             expected = [str(ranked.program.expr) for ranked in base.programs]
             assert [str(r.program.expr) for r in stored.programs] == expected
             assert [str(r.program.expr) for r in oracle.programs] == expected

@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.semantic.generate import _overlaps
+from references import overlaps
 from repro.tables.substring_index import SubstringIndex
 
 
 def naive_overlapping(values, text, min_len):
-    """The oracle: the pairwise scan the index replaces."""
+    """The reference: a pairwise scan of the §5.3 trigger."""
     return [
         value_id
         for value_id, value in enumerate(values)
-        if _overlaps(value, text, min_len)
+        if overlaps(value, text, min_len)
     ]
 
 

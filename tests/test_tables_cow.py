@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import scan_rows
 from repro.benchsuite import all_benchmarks
 from repro.exceptions import (
     DuplicateTableError,
@@ -92,8 +93,8 @@ class TestTableExtended:
         table.find_rows({"Name": "Google"})  # build the index first
         extended = table.extended([("c3", "Google")])
         assert extended.value_rows("Name", "Google") == (1, 2)
-        assert extended.find_rows({"Name": "Google"}) == (
-            extended.find_rows_naive({"Name": "Google"})
+        assert extended.find_rows({"Name": "Google"}) == scan_rows(
+            extended, {"Name": "Google"}
         )
 
     def test_declared_key_break_raises(self):

@@ -14,9 +14,9 @@ import urllib.request
 
 import pytest
 
+from references import overlaps, scan_rows
 from repro.api.engine import Synthesizer
 from repro.engine.program import Program
-from repro.semantic.generate import _overlaps
 from repro.service import SynthesisService, create_server
 from repro.syntactic.ast import ConstStr
 from repro.syntactic.tokens import TokenMatchIndex
@@ -76,7 +76,7 @@ class TestIndexes:
             naive = [
                 value_id
                 for value_id, value in enumerate(values)
-                if _overlaps(value, text, 1)
+                if overlaps(value, text, 1)
             ]
             assert index.overlapping(text) == naive, text
 
@@ -84,9 +84,7 @@ class TestIndexes:
         table = unicode_catalog().table("U")
         for row_number, value in enumerate(UNICODE_CELLS):
             assert table.value_rows("Val", value) == (row_number,)
-            assert table.find_rows({"Val": value}) == table.find_rows_naive(
-                {"Val": value}
-            )
+            assert table.find_rows({"Val": value}) == scan_rows(table, {"Val": value})
 
     def test_fingerprint_distinguishes_unicode_content(self):
         # NFC vs NFD "étude" are different strings; the fingerprint (and
